@@ -2,8 +2,8 @@
 JSON report.
 
 Exit codes: 0 when a verdict was computed, 1 when a verification failed
-(for example a labeling that does not satisfy the axioms), 2 on malformed
-input or usage errors.
+(for example a labeling that does not satisfy the axioms, or an internal
+self-check that disagreed), 2 on malformed input or usage errors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from . import labeling as lb
 from . import lattice as lm
 from . import morse as mm
 from . import poset as pm
-from .errors import InputParseError, LatshellError, UsageError
+from .errors import (InputParseError, LatshellError, SelfCheckFailed,
+                     UsageError)
 
 POSET_KEYS = {"elements", "covers"}
 LABELING_KEYS = {"edges"}
@@ -374,6 +375,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         code, text = run(argv)
+    except SelfCheckFailed as exc:
+        print(json.dumps({"error": type(exc).__name__, "check": exc.check,
+                          "message": str(exc)}))
+        return 1
     except (InputParseError, UsageError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2

@@ -1,12 +1,21 @@
 """Exception types shared across the library.
 
 Verification routines generally return verdict objects instead of raising;
-exceptions are reserved for malformed inputs and violated preconditions.
+exceptions are reserved for malformed inputs, violated preconditions and
+internal self-checks that disagree.
 """
 
 
 class LatshellError(Exception):
     """Base class for all library errors."""
+
+
+class SelfCheckFailed(LatshellError):
+    """An internal cross-check disagreed: a bug, not bad input."""
+
+    def __init__(self, check: str, detail: str):
+        self.check = check
+        super().__init__(f"self-check {check!r} failed: {detail}")
 
 
 # ---------------------------------------------------------------- posets

@@ -1,11 +1,13 @@
 """Finite permutation groups, subgroup lattices, chief series, and the
 topological solvability criteria they support.
 
-Group elements are permutation tuples (0-based images).  Subgroup
-enumeration is a fixpoint closure: all cyclic subgroups, then repeated
-pairwise joins, with each subgroup carrying a small generating set so a
-join closes over few generators.  Everything downstream indexes elements
-into a multiplication table, and subgroups live as bitmasks over it.
+Group elements are permutation tuples (0-based images).  Everything
+downstream indexes elements into a multiplication table.  Subgroups are
+enumerated one conjugacy class at a time: a representative of each class
+is extended by every cyclic subgroup of prime-power order, each extension
+is a Dimino coset closure on the table, and each new subgroup brings in
+its conjugates by table lookups.  The same closure builds generated
+subgroups and the derived series.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import (
     NotAPermutation,
     NotSolvable,
     OrderLimit,
+    SelfCheckFailed,
     ShellabilityUndecided,
     SizeLimit,
 )
@@ -28,7 +31,7 @@ from .lattice import (
     lattice_check,
     verify_chain_modularity,
 )
-from .poset import bits, build_poset, order_complex
+from .poset import build_poset, order_complex
 
 
 Perm = tuple
@@ -175,122 +178,157 @@ def klein_four() -> PermGroup:
 
 # --------------------------------------------------------------- subgroups
 
+def _extend(table, members, elems: list, gens: list, new) -> tuple:
+    """Dimino closure of a subgroup H by the element indices in ``new``.
+
+    H is given by its set of element indices, its element list (identity
+    first) and its generators.  Each new generator g grows H to <H, g> as a
+    union of left cosets x.H of the subgroup before g: for each coset
+    representative x and each generator s, the product s.x either lies in
+    the union or starts a new coset, so nothing is re-closed from the
+    identity.  Returns (frozenset of indices, elements, generators).
+    """
+    for g in new:
+        if g in members:
+            continue
+        gens = gens + [g]
+        block = elems
+        elems = list(block)
+        members = set(members)
+        rows = [table[s] for s in gens]
+        reps = [block[0]]
+        for x in reps:
+            for row in rows:
+                y = row[x]
+                if y not in members:
+                    row_y = table[y]
+                    coset = [row_y[h] for h in block]
+                    members.update(coset)
+                    elems += coset
+                    reps.append(y)
+    return frozenset(members), elems, gens
+
+
+def _is_prime_power(n: int) -> bool:
+    p = 2
+    while n % p:
+        p += 1
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def subgroups(G: PermGroup, order_limit: int = 360) -> list[frozenset]:
-    """All subgroups: cyclic ones, then pairwise joins to a fixpoint.
+    """All subgroups, enumerated one conjugacy class at a time.
+
+    Every subgroup is generated by the zuppos it contains (its cyclic
+    subgroups of prime-power order), and every K != 1 is <H, z> for a
+    maximal subgroup H < K and a zuppo <z> not inside H.  As H is conjugate
+    to a class representative H', some conjugate of K is <H', z'>.  So one
+    representative per class is extended by every zuppo, and each new
+    result brings in its whole conjugacy class, found by conjugating by the
+    group's generators through table lookups until the orbit closes.
 
     Returned as frozensets of permutations, sorted by (order, elements).
     """
     if G.order > order_limit:
-        raise OrderLimit(f"group order {G.order} exceeds limit {order_limit}")
+        raise OrderLimit(f"group order {G.order} exceeds the order limit "
+                         f"{order_limit}; raise it with --limit-order")
     table = G.table()
-    n = G.order
+    inv = G.inverse_indices()
     e = G.index(G.identity)
 
-    def close(gen_idx: tuple) -> int:
-        mask = 1 << e
-        frontier = [e]
-        for g in gen_idx:
-            if not (mask >> g) & 1:
-                mask |= 1 << g
-                frontier.append(g)
-        while frontier:
-            new = []
-            for a in frontier:
-                row = table[a]
-                for g in gen_idx:
-                    b = row[g]
-                    if not (mask >> b) & 1:
-                        mask |= 1 << b
-                        new.append(b)
-            frontier = new
-        return mask
+    zuppos = {}
+    for i in range(G.order):
+        cyclic = [e]
+        x = i
+        while x != e:
+            cyclic.append(x)
+            x = table[x][i]
+        key = frozenset(cyclic)
+        if len(cyclic) > 1 and _is_prime_power(len(cyclic)) and key not in zuppos:
+            zuppos[key] = i
 
-    def prune(gens: tuple, target: int) -> tuple:
-        kept = []
-        mask = 1 << e
-        for g in gens:
-            if not (mask >> g) & 1:
-                kept.append(g)
-                mask = close(tuple(kept))
-                if mask == target:
-                    break
-        return tuple(kept)
+    conjugators = []
+    for p in G.generators:
+        g = G.index(p)
+        conjugators.append([table[gh][inv[g]] for gh in table[g]])
 
-    known: dict[int, tuple] = {}
-    for i in range(n):
-        mask = close((i,))
-        if mask not in known:
-            known[mask] = (i,) if i != e else ()
-    worklist = sorted(known)
-    k = 0
-    while k < len(worklist):
-        a = worklist[k]
-        for b in worklist[:k + 1]:
-            if a | b == a or a | b == b:
+    trivial = frozenset([e])
+    known = {trivial}
+    reps = [(trivial, [e], [])]
+    for members, elems, gens in reps:
+        for z in zuppos.values():
+            if z in members:
                 continue
-            gens = known[a] + known[b]
-            j = close(gens)
-            if j not in known:
-                known[j] = prune(gens, j)
-                worklist.append(j)
-        k += 1
+            K = _extend(table, members, elems, gens, (z,))
+            if K[0] in known:
+                continue
+            known.add(K[0])
+            reps.append(K)
+            orbit = [K[1]]
+            for conj_elems in orbit:
+                for c in conjugators:
+                    conj = [c[h] for h in conj_elems]
+                    key = frozenset(conj)
+                    if key not in known:
+                        known.add(key)
+                        orbit.append(conj)
 
-    subs = []
-    for mask in known:
-        subs.append(frozenset(G.elements[i] for i in bits(mask)))
-    subs.sort(key=lambda h: (len(h), sorted(h)))
-    return subs
+    subs = sorted(known, key=lambda m: (len(m), sorted(m)))
+    return [frozenset(G.elements[i] for i in m) for m in subs]
 
 
 def is_normal(G: PermGroup, H: frozenset) -> bool:
-    for g in G.generators:
-        gi = _inv(g)
-        for h in H:
-            if _mul(_mul(g, h), gi) not in H:
+    table = G.table()
+    inv = G.inverse_indices()
+    members = {G.index(p) for p in H}
+    for p in G.generators:
+        g = G.index(p)
+        row, gi = table[g], inv[g]
+        for h in members:
+            if table[row[h]][gi] not in members:
                 return False
     return True
 
 
 def generated_subgroup(G: PermGroup, seed) -> frozenset:
-    table = G.table()
-    gen_idx = sorted({G.index(p) for p in seed} | {G.index(G.identity)})
-    mask = 0
-    frontier = []
-    for i in gen_idx:
-        mask |= 1 << i
-        frontier.append(i)
-    while frontier:
-        new = []
-        for a in frontier:
-            row = table[a]
-            for g in gen_idx:
-                b = row[g]
-                if not (mask >> b) & 1:
-                    mask |= 1 << b
-                    new.append(b)
-        frontier = new
-    return frozenset(G.elements[i] for i in bits(mask))
-
-
-def commutator_subgroup(G: PermGroup, H: frozenset) -> frozenset:
-    """Subgroup generated by all commutators of elements of H."""
-    comms = set()
-    hs = sorted(H)
-    for a in hs:
-        ai = _inv(a)
-        for b in hs:
-            comms.add(_mul(_mul(a, b), _mul(ai, _inv(b))))
-    return generated_subgroup(G, comms)
+    """The subgroup generated by the permutations in ``seed``."""
+    e = G.index(G.identity)
+    _, elems, _ = _extend(G.table(), {e}, [e], [],
+                          sorted(G.index(p) for p in seed))
+    return frozenset(G.elements[i] for i in elems)
 
 
 def is_solvable(G: PermGroup) -> bool:
-    """Derived series reaches the trivial subgroup."""
-    current = frozenset(G.elements)
-    while True:
-        nxt = commutator_subgroup(G, current)
-        if nxt == current:
-            return len(current) == 1
-        current = nxt
+    """The derived series reaches the trivial subgroup.
+
+    Each term is the normal closure, within the term before it, of the
+    commutators of that term's generators; it is built by Dimino closure
+    on the multiplication table.
+    """
+    table = G.table()
+    inv = G.inverse_indices()
+    e = G.index(G.identity)
+    gens = sorted({G.index(p) for p in G.generators} - {e})
+    order = G.order
+    while gens:
+        comms = sorted({table[table[table[a][b]][inv[a]]][inv[b]]
+                        for a in gens for b in gens})
+        members, elems, dgens = _extend(table, {e}, [e], [], comms)
+        i = 0
+        while i < len(dgens):
+            d = dgens[i]
+            for x in gens:
+                c = table[table[x][d]][inv[x]]
+                if c not in members:
+                    members, elems, dgens = _extend(table, members, elems,
+                                                    dgens, (c,))
+            i += 1
+        if len(elems) == order:
+            return False
+        gens, order = dgens, len(elems)
+    return True
 
 
 # ---------------------------------------------------------- the lattice
@@ -348,25 +386,29 @@ def subgroup_lattice(G: PermGroup, order_limit: int = 360,
     for i, j in itertools.combinations(range(len(subs)), 2):
         got = by_name[L.meet(names[i], names[j])]
         if got != subs[i] & subs[j]:
-            raise AssertionError("meet table disagrees with intersection")
+            raise SelfCheckFailed("meet", f"meet of {names[i]} and {names[j]} "
+                                          "disagrees with intersection")
     pairs = itertools.combinations(range(len(subs)), 2)
     if len(subs) > join_check_limit:
         pairs = itertools.islice(pairs, 0, None, 97)
     for i, j in pairs:
         got = by_name[L.join(names[i], names[j])]
         if got != generated_subgroup(G, subs[i] | subs[j]):
-            raise AssertionError("join table disagrees with generated subgroup")
+            raise SelfCheckFailed("join", f"join of {names[i]} and {names[j]} "
+                                          "disagrees with generated subgroup")
 
     normal_names = {names[i] for i, h in enumerate(subs) if is_normal(G, h)}
     for nm in sorted(normal_names):
         rep = classify_modularity(L, nm)
         if not rep.modular:
-            raise AssertionError(f"normal subgroup {nm} is not two-sided modular")
+            raise SelfCheckFailed("normal-modularity",
+                                  f"normal subgroup {nm} is not two-sided modular")
 
     chief_names = _chief_series_names(L, names, subs, normal_names)
     chief = verify_chain_modularity(L, chief_names)
     if chief.kind != "two-sided-modular":
-        raise AssertionError("chief series failed the two-sided modularity check")
+        raise SelfCheckFailed("chief-modularity", "chief series failed the "
+                              "two-sided modularity check")
     return GroupLattice(G, subs, names, L, normal_names, chief)
 
 
@@ -400,7 +442,8 @@ def _chief_series_names(L, names, subs, normal_names):
     bottom_up = up_from(L.bottom)
     top_down = down_from(L.top)
     if len(bottom_up) != len(top_down):
-        raise AssertionError("two chief series computations disagree in length")
+        raise SelfCheckFailed("chief-length",
+                              "two chief series computations disagree in length")
     return bottom_up
 
 

@@ -1,4 +1,12 @@
+import functools
+import json
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latshell import (
     classify_modularity,
@@ -15,8 +23,40 @@ from latshell import (
     verify_quasi_el,
 )
 from latshell import groups as gm
+from latshell.cli import main
 from latshell.errors import NotAPermutation, NotSolvable, OrderLimit
 from latshell.labeling import stats_of_sequence
+
+from group_oracles import (
+    reference_generated_subgroup,
+    reference_is_solvable,
+    reference_subgroups,
+)
+
+GROUP_FILES = {
+    "C2^4": "degree: 8\n(1 2)\n(3 4)\n(5 6)\n(7 8)\n",
+    "S4xC2": "degree: 6\n(1 2)\n(1 2 3 4)\n(5 6)\n",
+    "PSL(2,7)": "degree: 7\n(1 2 3 4 5 6 7)\n(1 2)(3 6)\n",
+}
+
+GROUPS = {
+    "S3": lambda: gm.symmetric(3),
+    "D4": lambda: gm.dihedral(4),
+    "C12": lambda: gm.cyclic(12),
+    "S4": lambda: gm.symmetric(4),
+    "C2^4": lambda: gm.parse_group_file(GROUP_FILES["C2^4"]),
+    "A5": lambda: gm.alternating(5),
+    "S4xC2": lambda: gm.parse_group_file(GROUP_FILES["S4xC2"]),
+    "S5": lambda: gm.symmetric(5),
+    "PSL(2,7)": lambda: gm.parse_group_file(GROUP_FILES["PSL(2,7)"]),
+}
+
+
+@functools.cache
+def reference(name):
+    """The group and its subgroups by the reference fixpoint, once per run."""
+    G = GROUPS[name]()
+    return G, reference_subgroups(G)
 
 
 def test_group_from_generators():
@@ -44,8 +84,91 @@ def test_subgroup_counts():
     assert len(subgroups(gm.symmetric(3))) == 6
     assert len(subgroups(gm.symmetric(4))) == 30
     assert len(subgroups(gm.alternating(5))) == 59
+    assert len(subgroups(gm.symmetric(5))) == 156
+    assert len(subgroups(GROUPS["PSL(2,7)"]())) == 179
+    # the reference fixpoint needs about half a minute on A6, so A6 is
+    # checked by its count only
+    assert len(subgroups(gm.alternating(6))) == 501
     with pytest.raises(OrderLimit):
         subgroups(gm.symmetric(4), order_limit=10)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_subgroups_match_reference(name):
+    G, expected = reference(name)
+    assert subgroups(G) == expected
+
+
+def test_order_limit_message_and_gate():
+    G = gm.symmetric(5)
+    with pytest.raises(OrderLimit) as info:
+        subgroups(G, order_limit=100)
+    message = str(info.value)
+    assert "120" in message and "100" in message and "--limit-order" in message
+    # refused before the multiplication table is built
+    assert G._table is None
+
+
+def test_is_solvable_matches_derived_series():
+    stock = [gm.symmetric(n) for n in range(1, 6)]
+    stock += [gm.alternating(n) for n in range(3, 6)]
+    stock += [gm.cyclic(n) for n in (1, 2, 6, 12)]
+    stock += [gm.dihedral(n) for n in (3, 4, 6)]
+    stock += [gm.klein_four()]
+    stock += [GROUPS[name]() for name in ("C2^4", "S4xC2", "PSL(2,7)")]
+    for G in stock:
+        assert is_solvable(G) == reference_is_solvable(G), G
+
+
+S5 = gm.symmetric(5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 119), max_size=4))
+def test_generated_subgroup_matches_reference(picks):
+    seed = [S5.elements[i] for i in picks]
+    assert (gm.generated_subgroup(S5, seed)
+            == reference_generated_subgroup(S5, seed))
+
+
+def test_group_lattice_report_is_deterministic(tmp_path):
+    _, expected = reference("PSL(2,7)")
+    grp = tmp_path / "psl27.grp"
+    grp.write_text(GROUP_FILES["PSL(2,7)"])
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "latshell", "group",
+                              "lattice", str(grp)], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        body = json.loads(out)
+        del body["timing_seconds"]
+        reports.append(json.dumps(body, sort_keys=True))
+    assert reports[0] == reports[1]
+
+    # H0, H1, ... name the subgroups in the reference enumerator's order
+    body = json.loads(reports[0])
+    names = body["element_order"]
+    assert names == [f"H{i}" for i in range(len(expected))]
+    index = {h: i for i, h in enumerate(expected)}
+    above = {i: [index[k] for k in expected if h < k]
+             for i, h in enumerate(expected)}
+    ref_covers = {(names[i], names[j]) for i in above for j in above[i]
+                  if not any(j in above[m] for m in above[i])}
+    assert {tuple(c) for c in body["results"]["poset"]["covers"]} == ref_covers
+
+
+def test_self_check_failure_is_typed(tmp_path, monkeypatch, capsys):
+    grp = tmp_path / "s3.grp"
+    grp.write_text("degree: 3\n(1 2)\n(1 2 3)\n")
+    monkeypatch.setattr(gm, "generated_subgroup",
+                        lambda G, seed: frozenset(G.elements))
+    assert main(["group", "lattice", str(grp)]) == 1
+    body = json.loads(capsys.readouterr().out)
+    assert body["error"] == "SelfCheckFailed" and body["check"] == "join"
+    assert "join" in body["message"]
 
 
 def test_subgroup_lattice_shapes(gl_s3, gl_a4):
