@@ -21,8 +21,7 @@ from . import labeling as lb
 from . import lattice as lm
 from . import morse as mm
 from . import poset as pm
-from .errors import (InputParseError, LatshellError, SelfCheckFailed,
-                     UsageError)
+from .errors import InputParseError, LatshellError, SelfCheckFailed
 
 POSET_KEYS = {"elements", "covers"}
 LABELING_KEYS = {"edges"}
@@ -73,9 +72,21 @@ def load_labeling(path: str) -> lb.EdgeLabeling:
     return lb.EdgeLabeling(labels)
 
 
+def _read_facets(path: str) -> list:
+    """The ``facets`` entry of a complex or order file: a list of facets,
+    each a JSON array of vertex-name strings."""
+    facets = _read_json(path, COMPLEX_KEYS).get("facets", [])
+    if not isinstance(facets, list):
+        raise InputParseError(f"{path}: 'facets' must be an array")
+    for f in facets:
+        if not (isinstance(f, list) and all(isinstance(v, str) for v in f)):
+            raise InputParseError(
+                f"{path}: facet {f!r} is not an array of strings")
+    return facets
+
+
 def load_complex(path: str) -> cxm.SimplicialComplex:
-    data = _read_json(path, COMPLEX_KEYS)
-    facets = [list(f) for f in data.get("facets", [])]
+    facets = _read_facets(path)
     vertices = []
     seen = set()
     for f in facets:
@@ -301,8 +312,7 @@ def _complex_depth(args):
 def _complex_shell(args):
     rep = Report("complex shell", [args.complex, args.verify])
     cx = load_complex(args.complex)
-    data = _read_json(args.verify, COMPLEX_KEYS)
-    order = [frozenset(f) for f in data.get("facets", [])]
+    order = [frozenset(f) for f in _read_facets(args.verify)]
     ok = cxm.verify_shelling(cx, order)
     rep.results = {"shelling": ok}
     return (0 if ok else 1), rep.finish(args.format)
@@ -379,9 +389,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "check": exc.check,
                           "message": str(exc)}))
         return 1
-    except (InputParseError, UsageError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
     except LatshellError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2

@@ -4,6 +4,9 @@ shellings, and vertex-decomposition certificates.
 Complexes are stored by their facets, as bitmasks over a vertex tuple.  The
 empty complex (one face, the empty set) and the void complex (no faces at
 all) are distinguished; both are accepted as decomposition leaves.
+Shelling orders are checked on those masks by the restriction-set form of
+the nonpure shelling condition (Bjorner-Wachs 1996), and Betti numbers are
+exact ranks over the rationals by integer column elimination.
 
 The constructive decomposition of skeleta of order complexes follows the
 lexicographic recursion: shed the descent element of the lexicographically
@@ -14,8 +17,8 @@ the complex as a join of a spine simplex with the gap complexes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AllChainsAscending,
@@ -23,6 +26,7 @@ from .errors import (
     NotAFace,
     NotFacetPermutation,
     RepeatRunTooLong,
+    SelfCheckFailed,
     SizeLimit,
     TargetTooLarge,
     UnknownVertex,
@@ -122,8 +126,11 @@ class SimplicialComplex:
         out = {}
         for m in self.faces():
             out.setdefault(m.bit_count() - 1, []).append(m)
-        if limit is not None and sum(len(v) for v in out.values()) > limit:
-            raise SizeLimit(f"more than {limit} faces")
+        if limit is not None:
+            n_faces = sum(len(v) for v in out.values())
+            if n_faces > limit:
+                raise SizeLimit(f"complex has {n_faces} faces, more than the "
+                                f"face limit {limit}; raise it with --limit-faces")
         for v in out.values():
             v.sort()
         return out
@@ -230,23 +237,6 @@ def _maximalize(masks) -> frozenset:
         out.extend(keep)
         accepted.extend(keep)
     return frozenset(out)
-
-
-# module-level aliases matching the operation names
-def skeleton(cx, r):
-    return cx.skeleton(r)
-
-
-def link(cx, names):
-    return cx.link_of(names)
-
-
-def delete(cx, names):
-    return cx.delete_face(names)
-
-
-def join(cx, other):
-    return cx.join(other)
 
 
 def simplex_complex(names) -> SimplicialComplex:
@@ -359,18 +349,11 @@ def validate_vd_certificate(cert, cx: SimplicialComplex) -> bool:
     return True
 
 
-def certificate_nodes(cert) -> int:
-    if isinstance(cert, VDLeaf):
-        return 1
-    return 1 + certificate_nodes(cert.deletion) + certificate_nodes(cert.link)
-
-
 def shelling_from_vd(cert, cx: SimplicialComplex) -> list:
     """Extract a shelling order from a decomposition certificate.
 
     Deletion facets come first, then the cone over the link shelling; this
-    order satisfies the pairwise shelling characterization for nonpure
-    complexes as well.
+    order is a shelling for nonpure complexes as well.
     """
     if isinstance(cert, VDLeaf):
         if len(cx.facets) > 1:
@@ -387,21 +370,41 @@ def shelling_from_vd(cert, cx: SimplicialComplex) -> list:
 
 
 def verify_shelling(cx: SimplicialComplex, order) -> bool:
-    """Pairwise characterization: earlier facets meet each new facet inside
-    a codimension-one face of it that is covered by a single earlier facet."""
+    """Whether ``order`` (facets as vertex-name sets) is a shelling.
+
+    Uses the restriction-set form of the nonpure shelling condition
+    (Bjorner-Wachs, *Shellable nonpure complexes and posets I*, 1996); see
+    ``_extends_shelling``.  An order that is not a permutation of the facets
+    raises ``NotFacetPermutation``.
+    """
     order = [frozenset(s) for s in order]
     if sorted(order, key=sorted) != sorted(cx.facet_name_sets(), key=sorted) \
             or len(order) != len(cx.facets):
         raise NotFacetPermutation("order must list each facet exactly once")
-    for k in range(1, len(order)):
-        sk = order[k]
-        for i in range(k):
-            inter = order[i] & sk
-            if not any(inter <= (order[j] & sk)
-                       and len(order[j] & sk) == len(sk) - 1
-                       for j in range(k)):
-                return False
+    earlier = []
+    for s in order:
+        fk = cx.mask_of(s)
+        if not _extends_shelling(earlier, fk):
+            return False
+        earlier.append(fk)
     return True
+
+
+def _extends_shelling(earlier, fk: int) -> bool:
+    """Whether facet mask ``fk`` may follow the facet masks ``earlier``.
+
+    The restriction set R(F_k) holds each vertex v of F_k whose removal
+    leaves a face of an earlier facet.  F_k extends the shelling iff every
+    earlier F_i misses some vertex of R(F_k).  This equals the pairwise
+    condition (F_i & F_k lies in some earlier F_j & F_k of size |F_k| - 1)
+    at O(F) integer operations per step instead of O(F^2) set operations.
+    """
+    codim1 = fk.bit_count() - 1
+    restriction = 0
+    for fj in earlier:
+        if (fj & fk).bit_count() == codim1:
+            restriction |= fk & ~fj
+    return all(fk & ~fi & restriction for fi in earlier)
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +415,8 @@ def betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
     """Reduced Betti numbers over the rationals, for -1 <= i <= dim.
 
     Boundary ranks are exact: dimension-one boundaries via connected
-    components, higher ones by fraction-free sparse elimination.
+    components, higher ones by integer column elimination (see
+    ``_boundary_rank``); no rank is taken modulo a prime.
     """
     if cx.is_void:
         return {}
@@ -430,6 +434,14 @@ def betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
 
 
 def _boundary_rank(cx, fbd, k: int) -> int:
+    """Rank over Q of the boundary map from k-faces to (k-1)-faces.
+
+    Column elimination on Python ints, leading entry at the least row.  A
+    column is reduced against a pivot column with leading entry a by
+    col <- col - c*a*pivot when a is +-1, and otherwise by
+    col <- a*col - c*pivot followed by division by the gcd of the entries.
+    Scaling a column by a nonzero number keeps the rank, so this is exact.
+    """
     faces_k = fbd.get(k, [])
     if not faces_k:
         return 0
@@ -439,27 +451,44 @@ def _boundary_rank(cx, fbd, k: int) -> int:
         return len(fbd.get(0, [])) - _component_count(cx, fbd)
     rows = {m: i for i, m in enumerate(fbd[k - 1])}
     pivots = {}
-    rank = 0
     for m in faces_k:
         col = {}
-        vs = list(bits(m))
-        for j, v in enumerate(vs):
-            sub = m & ~(1 << v)
-            col[rows[sub]] = Fraction((-1) ** j)
+        sign = 1
+        for v in bits(m):
+            col[rows[m & ~(1 << v)]] = sign
+            sign = -sign
         while col:
             r = min(col)
-            if r in pivots:
-                coef = col[r]
-                for rr, val in pivots[r].items():
-                    col[rr] = col.get(rr, Fraction(0)) - coef * val
-                    if not col[rr]:
-                        del col[rr]
-            else:
-                lead = col[r]
-                pivots[r] = {rr: val / lead for rr, val in col.items()}
-                rank += 1
+            pivot = pivots.get(r)
+            if pivot is None:
+                if col[r] not in (1, -1):
+                    _divide_by_content(col)
+                pivots[r] = col
                 break
-    return rank
+            c, a = col[r], pivot[r]
+            unit = a in (1, -1)
+            if unit:
+                c *= a
+            else:
+                for rr in col:
+                    col[rr] *= a
+            for rr, val in pivot.items():
+                val = col.get(rr, 0) - c * val
+                if val:
+                    col[rr] = val
+                else:
+                    del col[rr]
+            if not unit:
+                _divide_by_content(col)
+    return len(pivots)
+
+
+def _divide_by_content(col: dict) -> None:
+    """Divide a sparse integer column by the gcd of its entries."""
+    g = math.gcd(*col.values())
+    if g > 1:
+        for rr in col:
+            col[rr] //= g
 
 
 def _component_count(cx, fbd) -> int:
@@ -511,7 +540,8 @@ def depth(cx: SimplicialComplex, limit: int = 200000) -> int:
     for r in range(m, -2, -1):
         if is_cohen_macaulay(cx.skeleton(r), limit=limit):
             return r
-    raise AssertionError("unreachable: the (-1)-skeleton is Cohen-Macaulay")
+    raise SelfCheckFailed("depth", "the (-1)-skeleton is Cohen-Macaulay, "
+                          "yet no skeleton down to it was")
 
 
 # --------------------------------------------------------------------------

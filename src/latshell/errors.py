@@ -153,9 +153,5 @@ class ShellabilityUndecided(LatshellError):
 
 # --------------------------------------------------------------------- cli
 
-class UsageError(LatshellError):
-    pass
-
-
 class InputParseError(LatshellError):
     pass

@@ -563,24 +563,22 @@ def skeleton_shellability_criterion(GL: GroupLattice,
 
 
 def _bruteforce_shellable(cx) -> bool:
-    from .complexes import verify_shelling
+    """Depth-first search for a shelling order, extending a prefix only by
+    facets that keep it a shelling (``complexes._extends_shelling``)."""
+    from .complexes import _extends_shelling
 
-    facets = sorted(cx.facet_name_sets(), key=sorted)
+    facets = sorted(cx.facets, key=lambda f: sorted(cx.names_of(f)))
 
     def extend(order, remaining):
         if not remaining:
             return True
-        for f in list(remaining):
-            trial = order + [f]
-            ok = all(
-                any(trial[i2] & f <= trial[j] & f and len(trial[j] & f) == len(f) - 1
-                    for j in range(len(order)))
-                for i2 in range(len(order)))
-            if ok and extend(trial, remaining - {f}):
+        for n, f in enumerate(remaining):
+            if (_extends_shelling(order, f)
+                    and extend(order + [f], remaining[:n] + remaining[n + 1:])):
                 return True
         return False
 
-    return extend([], set(facets))
+    return extend([], facets)
 
 
 @dataclass(frozen=True)

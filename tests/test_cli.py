@@ -1,9 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from latshell.cli import load_complex, load_labeling, load_poset, run
+from latshell import (
+    constructive_vd_skeleton,
+    lattice_check,
+    left_modular_labeling,
+    min_chain_complexity,
+    shelling_from_vd,
+    verify_chain_modularity,
+)
+from latshell.cli import complex_json, load_complex, load_labeling, load_poset, main, run
 from latshell.errors import InputParseError
+
+from conftest import pi4_poset, subset_poset
 
 
 N5 = {"elements": ["0", "a", "b", "c", "1"],
@@ -161,9 +174,55 @@ def test_group_commands(tmp_path):
 
 
 def test_exit_code_2_on_parse_error(tmp_path):
-    from latshell.cli import main
-
     p = tmp_path / "cyclic.json"
     p.write_text(json.dumps({"elements": ["0", "a"],
                              "covers": [["0", "a"], ["a", "0"]]}))
     assert main(["poset", "check", str(p)]) == 2
+
+
+@pytest.mark.parametrize("facets", [
+    [[["1"], "2"], ["3"]],      # a nested facet
+    ["ab", ["c"]],              # a bare string, once split into characters
+    [["a", 1]],                 # a non-string vertex
+    {"a": ["b"]},               # not an array of facets
+])
+def test_malformed_facets_exit_2(tmp_path, capsys, facets):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"facets": facets}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"facets": [["a", "b"], ["c"]]}))
+    with pytest.raises(InputParseError):
+        load_complex(str(bad))
+    for argv in (["complex", "depth", str(bad)],
+                 ["complex", "shell", str(good), "--verify", str(bad)]):
+        assert main(argv) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"] == "InputParseError"
+
+
+def test_complex_reports_do_not_depend_on_hash_seed(tmp_path):
+    b4 = (subset_poset(4), ["e", "1", "12", "123", "1234"])
+    pi4 = (pi4_poset(), ["1|2|3|4", "12|3|4", "123|4", "1234"])
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    for name, (P, chain) in (("b4", b4), ("pi4", pi4)):
+        L = lattice_check(P)
+        lab = left_modular_labeling(L, verify_chain_modularity(L, chain))
+        cx, cert = constructive_vd_skeleton(P, lab, min_chain_complexity(P, lab)[0])
+        cx_file = tmp_path / f"{name}.json"
+        cx_file.write_text(json.dumps(complex_json(cx)))
+        order_file = tmp_path / f"{name}-order.json"
+        order_file.write_text(json.dumps(
+            {"facets": [sorted(f) for f in shelling_from_vd(cert, cx)]}))
+        for argv in (["complex", "depth", str(cx_file)],
+                     ["complex", "shell", str(cx_file), "--verify", str(order_file)]):
+            reports = []
+            for hash_seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+                out = subprocess.run([sys.executable, "-m", "latshell", *argv],
+                                     env=env, check=True, capture_output=True,
+                                     text=True).stdout
+                body = json.loads(out)
+                del body["timing_seconds"]
+                reports.append(json.dumps(body, sort_keys=True))
+            assert reports[0] == reports[1], (name, argv[1])

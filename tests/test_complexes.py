@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,17 @@ from latshell import (
     is_cohen_macaulay,
     is_shedding_vertex,
     is_vd_bruteforce,
+    lattice_check,
     left_modular_labeling,
     lex_greatest_single_descent_chain,
     order_complex,
     shelling_from_vd,
     validate_vd_certificate,
+    verify_chain_modularity,
     verify_shelling,
 )
+from latshell import complexes as cxm
+from latshell import groups as gm
 from latshell.complexes import (
     JoinFactor,
     cert_points,
@@ -39,12 +44,21 @@ from latshell.errors import (
     NotAFace,
     NotFacetPermutation,
     RepeatRunTooLong,
+    SelfCheckFailed,
+    SizeLimit,
     TargetTooLarge,
     UnknownVertex,
     VertexClash,
     VoidComplex,
 )
 from latshell.labeling import EdgeLabeling
+
+from complex_oracles import (
+    reference_betti_numbers,
+    reference_bruteforce_shellable,
+    reference_verify_shelling,
+)
+from conftest import subset_poset
 
 
 def points(*names):
@@ -309,3 +323,122 @@ def test_skeleton_faces(cx, r):
     expected = {m for m in cx.faces() if m.bit_count() <= r + 1}
     got = {cx.mask_of(skel.names_of(m)) for m in skel.faces()}
     assert got == expected
+
+
+def test_size_limit_names_count_limit_and_flag():
+    octa = points("a", "b").join(points("c", "d")).join(points("e", "f"))
+    assert len(octa.faces_by_dim(limit=27)[2]) == 8
+    with pytest.raises(SizeLimit) as info:
+        octa.faces_by_dim(limit=26)
+    assert str(info.value) == ("complex has 27 faces, more than the face "
+                               "limit 26; raise it with --limit-faces")
+
+
+def test_depth_self_check_is_typed(monkeypatch):
+    monkeypatch.setattr(cxm, "is_cohen_macaulay", lambda cx, limit: False)
+    with pytest.raises(SelfCheckFailed) as info:
+        depth(cycle4())
+    assert info.value.check == "depth"
+
+
+def test_rp2_has_no_rational_homology(monkeypatch):
+    # the 6-vertex real projective plane: H_1 over Z is Z/2, so a rank
+    # taken mod 2 would report beta_1 = beta_2 = 1; over Q all vanish
+    triangles = [list(t) for t in ("124", "126", "135", "136", "145",
+                                   "234", "235", "256", "346", "456")]
+    rp2 = SimplicialComplex.from_faces("123456", triangles)
+    # the cone over it, apex last, so its columns come after the RP^2 ones
+    cone = SimplicialComplex.from_faces("1234567", [t + ["7"] for t in triangles])
+    divisions = []
+    divide = cxm._divide_by_content
+    monkeypatch.setattr(cxm, "_divide_by_content",
+                        lambda col: divisions.append(1) or divide(col))
+    assert betti_numbers(rp2) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert divisions == [1], "RP^2 should make one pivot other than +-1"
+    # the cone's columns are reduced against that pivot, and it is contractible
+    assert betti_numbers(cone) == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0}
+    assert len(divisions) > 2
+    for cx in (rp2, cone):
+        assert reference_betti_numbers(cx) == betti_numbers(cx)
+
+
+def test_b6_skeleton_shelling_verifies():
+    P = subset_poset(6)
+    L = lattice_check(P)
+    m = verify_chain_modularity(
+        L, ["e", "1", "12", "123", "1234", "12345", "123456"])
+    cx, cert = constructive_vd_skeleton(P, left_modular_labeling(L, m), 6)
+    assert len(cx.facets) == 720
+    order = shelling_from_vd(cert, cx)
+    assert verify_shelling(cx, order)
+    # moving the last facet to the front breaks the shelling
+    assert not verify_shelling(cx, order[-1:] + order[:-1])
+
+
+# ---- the bitmask kernels against the oracles in complex_oracles.py -------
+
+def random_complex(rng, max_vertices=7, max_facets=6, max_size=5):
+    """A complex on 2 to 7 vertices from ``rng``; a facet is one vertex
+    short of the drawn size with probability 0.4, so some are nonpure."""
+    n = rng.randint(2, max_vertices)
+    names = tuple(f"v{i}" for i in range(n))
+    size = rng.randint(1, min(max_size, n - 1))
+    faces = [rng.sample(names, max(1, size - (rng.random() < 0.4)))
+             for _ in range(rng.randint(1, max_facets))]
+    return SimplicialComplex.from_faces(names, faces)
+
+
+def random_order(rng, cx):
+    """A facet order that, half the time, is grown one facet at a time by
+    picking a facet that keeps the pairwise test true where one exists."""
+    facets = sorted(cx.facet_name_sets(), key=sorted)
+    if rng.random() < 0.5:
+        rng.shuffle(facets)
+        return facets
+    order = []
+    while facets:
+        good = [f for f in facets if _is_shelling(order + [f])]
+        f = rng.choice(good or facets)
+        facets.remove(f)
+        order.append(f)
+    return order
+
+
+def _is_shelling(order):
+    """The pairwise oracle on the complex whose facets are ``order``."""
+    names = sorted(set().union(*order))
+    return reference_verify_shelling(
+        SimplicialComplex.from_faces(names, order), order)
+
+
+def test_random_cases_cover_both_verdicts():
+    shelled, shellable = set(), set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        cx = random_complex(rng)
+        shelled.add(verify_shelling(cx, random_order(rng, cx)))
+        shellable.add(gm._bruteforce_shellable(
+            random_complex(rng, max_facets=5, max_size=4)))
+    assert shelled == shellable == {True, False}
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_shelling_predicate_matches_pairwise_oracle(rng):
+    cx = random_complex(rng)
+    order = random_order(rng, cx)
+    assert verify_shelling(cx, order) == reference_verify_shelling(cx, order)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_betti_numbers_match_fraction_oracle(rng):
+    cx = random_complex(rng, max_facets=8)
+    assert betti_numbers(cx) == reference_betti_numbers(cx)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_bruteforce_shellable_matches_oracle_search(rng):
+    cx = random_complex(rng, max_facets=5, max_size=4)
+    assert gm._bruteforce_shellable(cx) == reference_bruteforce_shellable(cx)
