@@ -9,6 +9,7 @@ self-check that disagreed), 2 on malformed input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -52,23 +53,50 @@ def _read_json(path: str, allowed_keys) -> dict:
     return data
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_poset(path: str) -> pm.Poset:
+    """A poset file: ``elements``, an array of id strings, and ``covers``,
+    an array of [lower, upper] pairs of ids."""
     data = _read_json(path, POSET_KEYS)
     try:
-        return pm.build_poset(data["elements"],
-                              [tuple(c) for c in data["covers"]])
+        elements, covers = data["elements"], data["covers"]
     except KeyError as exc:
         raise InputParseError(f"{path}: missing key {exc}") from None
+    if not _is_strings(elements):
+        raise InputParseError(f"{path}: 'elements' must be an array of strings")
+    if not isinstance(covers, list):
+        raise InputParseError(f"{path}: 'covers' must be an array")
+    for c in covers:
+        if not (_is_strings(c) and len(c) == 2):
+            raise InputParseError(f"{path}: cover {c!r} is not a pair of strings")
+    return pm.build_poset(elements, [tuple(c) for c in covers])
 
 
 def load_labeling(path: str) -> lb.EdgeLabeling:
+    """A labeling file: ``edges``, an array of {from, to, label} objects
+    with string ends; the labels are all numbers or all strings."""
     data = _read_json(path, LABELING_KEYS)
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise InputParseError(f"{path}: 'edges' must be an array")
     labels = {}
-    for edge in data.get("edges", []):
+    for edge in edges:
         try:
-            labels[(edge["from"], edge["to"])] = edge["label"]
+            ends = (edge["from"], edge["to"])
+            labels[ends] = edge["label"]
         except (TypeError, KeyError):
             raise InputParseError(f"{path}: bad edge entry {edge!r}") from None
+        if not all(isinstance(e, str) for e in ends):
+            raise InputParseError(f"{path}: edge {edge!r} has non-string ends")
+    values = labels.values()
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in values)
+    if not (numbers or all(isinstance(v, str) for v in values)):
+        raise InputParseError(
+            f"{path}: labels must be all numbers or all strings")
     return lb.EdgeLabeling(labels)
 
 
@@ -79,7 +107,7 @@ def _read_facets(path: str) -> list:
     if not isinstance(facets, list):
         raise InputParseError(f"{path}: 'facets' must be an array")
     for f in facets:
-        if not (isinstance(f, list) and all(isinstance(v, str) for v in f)):
+        if not _is_strings(f):
             raise InputParseError(
                 f"{path}: facet {f!r} is not an array of strings")
     return facets
@@ -164,7 +192,9 @@ class Report:
         return "\n".join(lines)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     top = argparse.ArgumentParser(prog="latshell")
     top.add_argument("--format", choices=("json", "text"), default="json")
     top.add_argument("--limit-chains", type=int, default=20000)

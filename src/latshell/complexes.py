@@ -6,7 +6,12 @@ empty complex (one face, the empty set) and the void complex (no faces at
 all) are distinguished; both are accepted as decomposition leaves.
 Shelling orders are checked on those masks by the restriction-set form of
 the nonpure shelling condition (Bjorner-Wachs 1996), and Betti numbers are
-exact ranks over the rationals by integer column elimination.
+exact ranks over the rationals by integer column elimination.  A vertex is
+tested for shedding on facets alone (Provan-Billera 1980: v sheds iff no
+facet of lk(v) is a facet of del(v)).  Depth is one sweep over the faces
+by the link formula depth = min |s| + h(lk s), h the least degree of
+nonzero reduced rational homology (Munkres 1984), and a complex is
+Cohen-Macaulay iff it is pure with depth equal to its dimension.
 
 The constructive decomposition of skeleta of order complexes follows the
 lexicographic recursion: shed the descent element of the lexicographically
@@ -113,13 +118,12 @@ class SimplicialComplex:
         """All faces as masks (deduplicated), in no particular order."""
         seen = set()
         for f in self.facets:
-            vs = list(bits(f))
-            for k in range(len(vs) + 1):
-                for combo in itertools.combinations(vs, k):
-                    m = 0
-                    for i in combo:
-                        m |= 1 << i
-                    seen.add(m)
+            subs = [0]
+            while f:
+                low = f & -f
+                subs += [s | low for s in subs]
+                f ^= low
+            seen.update(subs)
         return seen
 
     def faces_by_dim(self, limit=None) -> dict:
@@ -162,11 +166,7 @@ class SimplicialComplex:
             if f.bit_count() <= r + 1:
                 keep.add(f)
             else:
-                for combo in itertools.combinations(list(bits(f)), r + 1):
-                    m = 0
-                    for i in combo:
-                        m |= 1 << i
-                    keep.add(m)
+                keep.update(_subsets(f, r + 1))
         return SimplicialComplex(self.vertices, _maximalize(keep)).compact()
 
     def compact(self) -> "SimplicialComplex":
@@ -224,6 +224,12 @@ class SimplicialComplex:
         return SimplicialComplex(vertices, facets)
 
 
+def _subsets(mask: int, k: int):
+    """The k-element subsets of ``mask``, as masks."""
+    for combo in itertools.combinations([1 << i for i in bits(mask)], k):
+        yield sum(combo)
+
+
 def _maximalize(masks) -> frozenset:
     by_size = {}
     for m in set(masks):
@@ -257,28 +263,24 @@ def void_complex() -> SimplicialComplex:
 # --------------------------------------------------------------------------
 
 def shedding_failure_witness(cx: SimplicialComplex, v):
-    """A face containing v with no exchange vertex, or None if v sheds."""
+    """A face containing v with no exchange vertex, or None if v sheds.
+
+    v is a shedding vertex when no face of lk(v) is a facet of del(v)
+    (Provan-Billera 1980).  Such a face would be a facet of lk(v), so only
+    facets need testing: v fails iff some facet F through v has F - v
+    inside no facet that avoids v.  The witness is the first such F in the
+    iteration order of ``cx.facets``; it is also the only kind of face
+    through v that can lack an exchange vertex.  O(F^2) mask operations.
+    """
     if v not in cx.vindex:
         raise UnknownVertex(repr(v))
     bit = 1 << cx.vindex[v]
-    all_verts = (1 << cx.n_vertices) - 1
-    seen = set()
+    avoiding = [g for g in cx.facets if not g & bit]
     for f in cx.facets:
-        if not f & bit:
-            continue
-        others = list(bits(f & ~bit))
-        for k in range(len(others) + 1):
-            for combo in itertools.combinations(others, k):
-                sigma = bit
-                for i in combo:
-                    sigma |= 1 << i
-                if sigma in seen:
-                    continue
-                seen.add(sigma)
-                base = sigma & ~bit
-                if not any(cx.has_face(base | (1 << w))
-                           for w in bits(all_verts & ~sigma)):
-                    return cx.names_of(sigma)
+        if f & bit:
+            rest = f & ~bit
+            if not any(rest & g == rest for g in avoiding):
+                return cx.names_of(f)
     return None
 
 
@@ -286,31 +288,31 @@ def is_shedding_vertex(cx: SimplicialComplex, v) -> bool:
     return shedding_failure_witness(cx, v) is None
 
 
-_VD_MEMO: dict = {}
-
-
 def is_vd_bruteforce(cx: SimplicialComplex, max_vertices: int = 25) -> bool:
     """Exhaustive search for a shedding recursion; simplices, the empty
     complex, and the void complex are decomposable by definition."""
     if cx.n_vertices > max_vertices:
-        raise SizeLimit(f"{cx.n_vertices} vertices exceeds limit {max_vertices}")
-    return _vd_search(cx)
+        raise SizeLimit(f"complex has {cx.n_vertices} vertices, more than the "
+                        f"vertex limit {max_vertices}; raise it with "
+                        f"--limit-vd-vertices")
+    return _vd_search(cx, {})
 
 
-def _vd_search(cx: SimplicialComplex) -> bool:
+def _vd_search(cx: SimplicialComplex, memo: dict) -> bool:
     if len(cx.facets) <= 1:
         return True
     key = (cx.n_vertices, cx.facets)
-    hit = _VD_MEMO.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     ans = False
     for v in cx.vertices:
         if is_shedding_vertex(cx, v):
-            if _vd_search(cx.delete_vertex(v)) and _vd_search(cx.link_of((v,))):
+            if (_vd_search(cx.delete_vertex(v), memo)
+                    and _vd_search(cx.link_of((v,)), memo)):
                 ans = True
                 break
-    _VD_MEMO[key] = ans
+    memo[key] = ans
     return ans
 
 
@@ -454,9 +456,12 @@ def _boundary_rank(cx, fbd, k: int) -> int:
     for m in faces_k:
         col = {}
         sign = 1
-        for v in bits(m):
-            col[rows[m & ~(1 << v)]] = sign
+        rest = m
+        while rest:
+            low = rest & -rest
+            col[rows[m ^ low]] = sign
             sign = -sign
+            rest ^= low
         while col:
             r = min(col)
             pivot = pivots.get(r)
@@ -503,45 +508,94 @@ def _component_count(cx, fbd) -> int:
         return a
 
     for e in fbd.get(1, []):
-        u, v = (1 << i for i in bits(e))
-        ra, rb = find(idx[u]), find(idx[v])
+        u = e & -e
+        ra, rb = find(idx[u]), find(idx[e ^ u])
         if ra != rb:
             parent[ra] = rb
     return len({find(i) for i in range(len(verts))})
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, limit: int = 200000) -> bool:
-    """Reduced homology of every link vanishes below the link's dimension."""
-    if cx.is_void:
+    """Whether reduced rational homology of every link vanishes below the
+    link's dimension (Reisner's criterion).
+
+    Such a complex is pure, so this is ``depth(cx) == cx.dim``; a nonpure
+    complex is refused without a sweep.  From dimension 1 up, a complex
+    with more than ``limit`` faces raises ``SizeLimit``.
+    """
+    if cx.is_void or cx.dim <= 0:
         return True
-    if cx.dim <= 0:
-        return True
-    if cx.dim == 1:
-        # links of vertices and edges impose nothing below dimension zero,
-        # so only connectivity of the whole complex is at stake
-        return betti_numbers(cx, limit=limit)[0] == 0
-    for m in sorted(cx.faces()):
-        lk = cx.link_of(cx.names_of(m))
-        d = lk.dim
-        if d == -1:
-            continue
-        b = betti_numbers(lk, limit=limit)
-        if any(b[i] != 0 for i in range(-1, d)):
-            return False
-    return True
+    if min(f.bit_count() for f in cx.facets) <= cx.dim:
+        # not Cohen-Macaulay, but refused above ``limit`` faces all the same
+        cx.faces_by_dim(limit=limit)
+        return False
+    return depth(cx, limit=limit) == cx.dim
 
 
 def depth(cx: SimplicialComplex, limit: int = 200000) -> int:
     """Largest r with a Cohen-Macaulay r-skeleton; bounded by the minimum
-    facet dimension."""
+    facet dimension m.
+
+    One sweep over the faces by the link formula (Munkres, *Topological
+    results in combinatorics*, 1984): with h(K) the least i such that
+    reduced rational homology H_i(K) is nonzero, depth is the minimum over
+    faces s of |s| + h(lk s).  The link of s in the r-skeleton is the
+    (r - |s|)-skeleton of lk s, and a skeleton keeps the homology below its
+    top degree, so Reisner's criterion for the r-skeleton reads
+    |s| + h(lk s) >= r.  A facet F gives |F| - 1 through H_-1 of the empty
+    complex, hence the bound m.
+
+    Faces are visited in increasing size while |s| is below the best bound
+    so far, and the homology of lk s is computed only through its
+    (best - |s|)-skeleton; at 1 only the link's connectivity matters.  The
+    empty face comes first, with the m-skeleton of the whole complex, so
+    for m >= 1 an m-skeleton of more than ``limit`` faces raises
+    ``SizeLimit``.
+    """
     if cx.is_void:
         raise VoidComplex("depth of the void complex is undefined")
     m = min(f.bit_count() for f in cx.facets) - 1
-    for r in range(m, -2, -1):
-        if is_cohen_macaulay(cx.skeleton(r), limit=limit):
-            return r
-    raise SelfCheckFailed("depth", "the (-1)-skeleton is Cohen-Macaulay, "
-                          "yet no skeleton down to it was")
+    best = m
+    if m >= 1:
+        best = _homology_floor(cx.skeleton(m), m, limit)
+    size = 1
+    while size < best:
+        for sigma in {s for f in cx.facets for s in _subsets(f, size)}:
+            k = best - size
+            if k <= 0:
+                break
+            lk_facets = [f & ~sigma for f in cx.facets if f & sigma == sigma]
+            if k == 1:
+                h = 1 if _is_connected(lk_facets) else 0
+            else:
+                lk = SimplicialComplex(cx.vertices, lk_facets)
+                if lk.dim > k:
+                    lk = lk.skeleton(k)
+                h = _homology_floor(lk, k, limit)
+            best = min(best, size + h)
+        size += 1
+    if not -1 <= best <= m:
+        raise SelfCheckFailed("depth", f"the link sweep gave {best}, "
+                              f"outside -1..{m}")
+    return best
+
+
+def _homology_floor(cx: SimplicialComplex, k: int, limit: int) -> int:
+    """The least i < k with a nonzero reduced Betti number, else k."""
+    betti = betti_numbers(cx, limit=limit)
+    return min((i for i, b in betti.items() if b and i < k), default=k)
+
+
+def _is_connected(masks) -> bool:
+    """Whether the complex generated by these nonempty vertex masks is
+    connected; components are merged as masks, so no face is built."""
+    parts = []
+    for f in masks:
+        for p in [p for p in parts if p & f]:
+            parts.remove(p)
+            f |= p
+        parts.append(f)
+    return len(parts) == 1
 
 
 # --------------------------------------------------------------------------

@@ -478,15 +478,22 @@ def solvability_by_depth(GL: GroupLattice, exact_depth_face_limit: int = 4000,
     if dim is None:
         dim = -1
     check = r - 1
-    cm = (check <= dim) and is_cohen_macaulay(cx.skeleton(check),
-                                              limit=homology_limit)
-    verdict = "nonsolvable" if cm else "solvable"
     depth_exact = None
     try:
         cx.faces_by_dim(limit=exact_depth_face_limit)
         depth_exact = complex_depth(cx, limit=homology_limit)
     except SizeLimit:
         depth_exact = None
+    if depth_exact is not None and check < min(f.bit_count() for f in cx.facets):
+        # the check-skeleton is pure, so it is Cohen-Macaulay iff
+        # check <= depth
+        cm = check <= depth_exact
+    else:
+        # depth unknown, or a nonpure skeleton, which is_cohen_macaulay
+        # refuses after its face-count gate
+        cm = (check <= dim) and is_cohen_macaulay(cx.skeleton(check),
+                                                  limit=homology_limit)
+    verdict = "nonsolvable" if cm else "solvable"
     solvable = is_solvable(GL.group)
     return DepthReport(
         r=r,

@@ -69,7 +69,8 @@ class MorseReport:
 def _ordered_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
     chains = [tuple(P.elements[i] for i in c) for c in P.maximal_chains_idx()]
     if len(chains) > limit:
-        raise SizeLimit(f"{len(chains)} maximal chains exceeds limit {limit}")
+        raise SizeLimit(f"poset has {len(chains)} maximal chains, more than "
+                        f"the chain limit {limit}; raise it with --limit-chains")
     chains.sort(key=lambda c: lamplus_sequence(P, lab, c))
     return chains
 

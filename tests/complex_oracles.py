@@ -7,12 +7,25 @@ operations), ``reference_boundary_rank`` the sparse elimination over
 with the pairwise test inline.  They are kept as they were before the
 kernels moved to the restriction-set predicate and integer pivots, so they
 share no arithmetic with the routines they check.
+
+``reference_shedding_failure_witness`` tries every face through the vertex
+and scans all facets for an exchange vertex; ``reference_is_cohen_macaulay``
+computes full homology of the link of every face, and ``reference_depth``
+reruns it on each skeleton from the minimum facet dimension down.  They are
+the kernels from before the facet-only shedding test and the one-sweep
+depth, with homology taken by the ``Fraction`` oracle above.
 """
 
+import itertools
 from fractions import Fraction
 
 from latshell.complexes import SimplicialComplex, _component_count
-from latshell.errors import NotFacetPermutation
+from latshell.errors import (
+    NotFacetPermutation,
+    SelfCheckFailed,
+    UnknownVertex,
+    VoidComplex,
+)
 from latshell.poset import bits
 
 
@@ -101,3 +114,63 @@ def reference_bruteforce_shellable(cx) -> bool:
         return False
 
     return extend([], set(facets))
+
+
+def reference_shedding_failure_witness(cx: SimplicialComplex, v):
+    """A face containing v with no exchange vertex, or None if v sheds."""
+    if v not in cx.vindex:
+        raise UnknownVertex(repr(v))
+    bit = 1 << cx.vindex[v]
+    all_verts = (1 << cx.n_vertices) - 1
+    seen = set()
+    for f in cx.facets:
+        if not f & bit:
+            continue
+        others = list(bits(f & ~bit))
+        for k in range(len(others) + 1):
+            for combo in itertools.combinations(others, k):
+                sigma = bit
+                for i in combo:
+                    sigma |= 1 << i
+                if sigma in seen:
+                    continue
+                seen.add(sigma)
+                base = sigma & ~bit
+                if not any(cx.has_face(base | (1 << w))
+                           for w in bits(all_verts & ~sigma)):
+                    return cx.names_of(sigma)
+    return None
+
+
+def reference_is_cohen_macaulay(cx: SimplicialComplex, limit: int = 200000) -> bool:
+    """Reduced homology of every link vanishes below the link's dimension."""
+    if cx.is_void:
+        return True
+    if cx.dim <= 0:
+        return True
+    if cx.dim == 1:
+        # links of vertices and edges impose nothing below dimension zero,
+        # so only connectivity of the whole complex is at stake
+        return reference_betti_numbers(cx, limit=limit)[0] == 0
+    for m in sorted(cx.faces()):
+        lk = cx.link_of(cx.names_of(m))
+        d = lk.dim
+        if d == -1:
+            continue
+        b = reference_betti_numbers(lk, limit=limit)
+        if any(b[i] != 0 for i in range(-1, d)):
+            return False
+    return True
+
+
+def reference_depth(cx: SimplicialComplex, limit: int = 200000) -> int:
+    """Largest r with a Cohen-Macaulay r-skeleton; bounded by the minimum
+    facet dimension."""
+    if cx.is_void:
+        raise VoidComplex("depth of the void complex is undefined")
+    m = min(f.bit_count() for f in cx.facets) - 1
+    for r in range(m, -2, -1):
+        if reference_is_cohen_macaulay(cx.skeleton(r), limit=limit):
+            return r
+    raise SelfCheckFailed("depth", "the (-1)-skeleton is Cohen-Macaulay, "
+                          "yet no skeleton down to it was")

@@ -10,13 +10,25 @@ from latshell import (
     lattice_check,
     left_modular_labeling,
     min_chain_complexity,
+    order_complex,
     shelling_from_vd,
     verify_chain_modularity,
 )
-from latshell.cli import complex_json, load_complex, load_labeling, load_poset, main, run
+from latshell import groups as gm
+from latshell.cli import (
+    _parser,
+    complex_json,
+    load_complex,
+    load_labeling,
+    load_poset,
+    main,
+    run,
+)
 from latshell.errors import InputParseError
 
 from conftest import pi4_poset, subset_poset
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 N5 = {"elements": ["0", "a", "b", "c", "1"],
@@ -200,11 +212,27 @@ def test_malformed_facets_exit_2(tmp_path, capsys, facets):
         assert body["error"] == "InputParseError"
 
 
+def _fresh_report(argv, hash_seed="0"):
+    """Exit code and output of ``latshell argv`` in a new process; a JSON
+    report loses its ``timing_seconds`` and is re-dumped with sorted keys."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "latshell", *argv],
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, _without_timing(proc.stdout)
+
+
+def _without_timing(text):
+    try:
+        body = json.loads(text)
+    except json.JSONDecodeError:
+        return text
+    body.pop("timing_seconds", None)
+    return json.dumps(body, sort_keys=True)
+
+
 def test_complex_reports_do_not_depend_on_hash_seed(tmp_path):
     b4 = (subset_poset(4), ["e", "1", "12", "123", "1234"])
     pi4 = (pi4_poset(), ["1|2|3|4", "12|3|4", "123|4", "1234"])
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
     for name, (P, chain) in (("b4", b4), ("pi4", pi4)):
         L = lattice_check(P)
         lab = left_modular_labeling(L, verify_chain_modularity(L, chain))
@@ -216,13 +244,102 @@ def test_complex_reports_do_not_depend_on_hash_seed(tmp_path):
             {"facets": [sorted(f) for f in shelling_from_vd(cert, cx)]}))
         for argv in (["complex", "depth", str(cx_file)],
                      ["complex", "shell", str(cx_file), "--verify", str(order_file)]):
-            reports = []
-            for hash_seed in ("0", "1"):
-                env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-                out = subprocess.run([sys.executable, "-m", "latshell", *argv],
-                                     env=env, check=True, capture_output=True,
-                                     text=True).stdout
-                body = json.loads(out)
-                del body["timing_seconds"]
-                reports.append(json.dumps(body, sort_keys=True))
+            reports = [_fresh_report(argv, seed) for seed in ("0", "1")]
             assert reports[0] == reports[1], (name, argv[1])
+            assert reports[0][0] == 0, (name, argv[1])
+
+
+S4_X_C2 = "degree: 6\n(1 2)\n(1 2 3 4)\n(5 6)\n"
+
+
+def test_topology_reports_do_not_depend_on_hash_seed(tmp_path):
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps(
+        {"facets": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]}))
+    two_edges = tmp_path / "two_edges.json"
+    two_edges.write_text(json.dumps({"facets": [["a", "b"], ["c", "d"]]}))
+    ls4 = tmp_path / "ls4.json"
+    GL = gm.subgroup_lattice(gm.symmetric(4))
+    ls4.write_text(json.dumps(complex_json(order_complex(GL.lattice.poset))))
+    grp = tmp_path / "s4xc2.grp"
+    grp.write_text(S4_X_C2)
+    cases = [(["complex", "vd", str(cycle)], "vertex_decomposable", True),
+             (["complex", "vd", str(two_edges)], "vertex_decomposable", False),
+             (["complex", "depth", str(ls4)], "depth", 1),
+             (["group", "solvable", "--method", "depth", str(grp)],
+              "verdict", "solvable")]
+    for argv, key, expected in cases:
+        reports = [_fresh_report(argv, seed) for seed in ("0", "1")]
+        assert reports[0] == reports[1], argv
+        code, text = reports[0]
+        assert code == 0
+        assert json.loads(text)["results"][key] == expected, argv
+
+
+def test_parser_is_built_once_and_reports_match_fresh_processes(tmp_path, capsys):
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps(
+        {"facets": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]}))
+    grp = tmp_path / "s3.grp"
+    grp.write_text("degree: 3\n(1 2)\n(1 2 3)\n")
+    runs = [
+        ["--limit-faces", "3", "complex", "depth", str(cycle)],
+        ["complex", "depth", str(cycle)],  # the limit must not stick
+        ["--format", "text", "complex", "depth", str(cycle)],
+        ["complex", "vd", "--skeleton", "0", str(cycle)],
+        ["--limit-vd-vertices", "2", "complex", "vd", str(cycle)],
+        ["complex", "vd", str(cycle)],
+        ["group", "solvable", "--method", "skeleton", str(grp)],
+        ["group", "solvable", str(grp)],  # back to the default method
+        ["complex", "shell", str(cycle), "--verify", str(cycle)],
+    ]
+    for argv in runs:
+        code = main(argv)
+        assert (code, _without_timing(capsys.readouterr().out)) \
+            == _fresh_report(argv), argv
+    assert _parser() is _parser()
+
+
+@pytest.mark.parametrize("data", [
+    {"elements": ["0", "a", "1"], "covers": [["0", "a", "1"]]},  # arity 3
+    {"elements": ["0", "a", "1"], "covers": [["0", "a"], "a1"]},  # a bare string
+    {"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", 1]]},  # a number
+    {"elements": ["0", "a", "1"], "covers": {"0": "a"}},  # not an array
+    {"elements": [0, 1], "covers": [["0", "1"]]},  # non-string ids
+    {"elements": "0a1", "covers": [["0", "a"], ["a", "1"]]},  # a bare string
+])
+def test_malformed_posets_exit_2(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(InputParseError):
+        load_poset(str(bad))
+    assert main(["poset", "check", str(bad)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "InputParseError"
+
+
+@pytest.mark.parametrize("edges", [
+    [{"from": 0, "to": "a", "label": 1}],  # a non-string end
+    [{"from": "0", "to": ["a"], "label": 1}],
+    [{"from": "0", "to": "a", "label": 1},  # mixed numbers and strings
+     {"from": "a", "to": "1", "label": "x"}],
+    [{"from": "0", "to": "a", "label": True}],  # a bool is not a number
+    [{"from": "0", "to": "a", "label": [1]}],
+    {"from": "0", "to": "a", "label": 1},  # not an array
+])
+def test_malformed_labelings_exit_2(tmp_path, capsys, n5_file, edges):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"edges": edges}))
+    with pytest.raises(InputParseError):
+        load_labeling(str(bad))
+    for sub in ("label verify", "morse report"):
+        assert main([*sub.split(), "--poset", n5_file, "--labeling", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InputParseError"
+
+
+def test_labels_may_be_all_numbers_or_all_strings(tmp_path):
+    for labels in ([1, 2.5], ["x", "y"]):
+        lab = tmp_path / "lab.json"
+        lab.write_text(json.dumps({"edges": [
+            {"from": "0", "to": "a", "label": labels[0]},
+            {"from": "a", "to": "1", "label": labels[1]}]}))
+        assert sorted(load_labeling(str(lab)).labels.values()) == labels

@@ -35,6 +35,7 @@ from latshell.complexes import (
     empty_complex,
     join_full_certificate,
     join_skeleton_certificate,
+    shedding_failure_witness,
     simplex_complex,
     void_complex,
 )
@@ -56,6 +57,9 @@ from latshell.labeling import EdgeLabeling
 from complex_oracles import (
     reference_betti_numbers,
     reference_bruteforce_shellable,
+    reference_depth,
+    reference_is_cohen_macaulay,
+    reference_shedding_failure_witness,
     reference_verify_shelling,
 )
 from conftest import subset_poset
@@ -332,23 +336,34 @@ def test_size_limit_names_count_limit_and_flag():
         octa.faces_by_dim(limit=26)
     assert str(info.value) == ("complex has 27 faces, more than the face "
                                "limit 26; raise it with --limit-faces")
+    assert is_vd_bruteforce(octa, max_vertices=6)
+    with pytest.raises(SizeLimit) as info:
+        is_vd_bruteforce(octa, max_vertices=5)
+    assert str(info.value) == ("complex has 6 vertices, more than the vertex "
+                               "limit 5; raise it with --limit-vd-vertices")
 
 
 def test_depth_self_check_is_typed(monkeypatch):
-    monkeypatch.setattr(cxm, "is_cohen_macaulay", lambda cx, limit: False)
+    # no Betti number sits below degree -1, so the sweep's result would
+    # fall outside -1..m
+    monkeypatch.setattr(cxm, "betti_numbers", lambda cx, limit: {-2: 1})
     with pytest.raises(SelfCheckFailed) as info:
         depth(cycle4())
     assert info.value.check == "depth"
+    assert "outside -1..1" in str(info.value)
+
+
+RP2_TRIANGLES = [list(t) for t in ("124", "126", "135", "136", "145",
+                                   "234", "235", "256", "346", "456")]
 
 
 def test_rp2_has_no_rational_homology(monkeypatch):
     # the 6-vertex real projective plane: H_1 over Z is Z/2, so a rank
     # taken mod 2 would report beta_1 = beta_2 = 1; over Q all vanish
-    triangles = [list(t) for t in ("124", "126", "135", "136", "145",
-                                   "234", "235", "256", "346", "456")]
-    rp2 = SimplicialComplex.from_faces("123456", triangles)
+    rp2 = SimplicialComplex.from_faces("123456", RP2_TRIANGLES)
     # the cone over it, apex last, so its columns come after the RP^2 ones
-    cone = SimplicialComplex.from_faces("1234567", [t + ["7"] for t in triangles])
+    cone = SimplicialComplex.from_faces("1234567",
+                                        [t + ["7"] for t in RP2_TRIANGLES])
     divisions = []
     divide = cxm._divide_by_content
     monkeypatch.setattr(cxm, "_divide_by_content",
@@ -377,15 +392,38 @@ def test_b6_skeleton_shelling_verifies():
 
 # ---- the bitmask kernels against the oracles in complex_oracles.py -------
 
-def random_complex(rng, max_vertices=7, max_facets=6, max_size=5):
-    """A complex on 2 to 7 vertices from ``rng``; a facet is one vertex
-    short of the drawn size with probability 0.4, so some are nonpure."""
+def random_complex(rng, max_vertices=7, max_facets=6, max_size=5, short=0.4):
+    """A complex on 2 to ``max_vertices`` vertices from ``rng``; a facet is
+    one vertex short of the drawn size with probability ``short``, so some
+    are nonpure."""
     n = rng.randint(2, max_vertices)
     names = tuple(f"v{i}" for i in range(n))
     size = rng.randint(1, min(max_size, n - 1))
-    faces = [rng.sample(names, max(1, size - (rng.random() < 0.4)))
+    faces = [rng.sample(names, max(1, size - (rng.random() < short)))
              for _ in range(rng.randint(1, max_facets))]
     return SimplicialComplex.from_faces(names, faces)
+
+
+def random_link_case(rng):
+    """A complex on at most 8 vertices, nonpure in about one case in five,
+    and a face limit that is usually generous and sometimes below the face
+    count.  A nonpure case is redrawn (a bounded number of times) until its
+    shorter facets survive maximalization."""
+    nonpure = rng.random() < 0.2
+    for _ in range(20):
+        cx = random_complex(rng, max_vertices=8, max_facets=8,
+                            short=0.5 if nonpure else 0.0)
+        if (min(f.bit_count() for f in cx.facets) <= cx.dim) == nonpure:
+            break
+    return cx, rng.choice([200000, rng.randint(1, 80)])
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value of a call, or the message of the SizeLimit it raised."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except SizeLimit as exc:
+        return "SizeLimit", str(exc)
 
 
 def random_order(rng, cx):
@@ -412,14 +450,60 @@ def _is_shelling(order):
 
 
 def test_random_cases_cover_both_verdicts():
-    shelled, shellable = set(), set()
+    shelled, shellable, cm, sheds, gated = set(), set(), set(), set(), set()
     for seed in range(200):
         rng = random.Random(seed)
         cx = random_complex(rng)
         shelled.add(verify_shelling(cx, random_order(rng, cx)))
         shellable.add(gm._bruteforce_shellable(
             random_complex(rng, max_facets=5, max_size=4)))
-    assert shelled == shellable == {True, False}
+        cx, limit = random_link_case(rng)
+        gated.add(_outcome(depth, cx, limit=limit)[0])
+        cm.add(is_cohen_macaulay(cx))
+        sheds.update(shedding_failure_witness(cx, v) is None
+                     for v in cx.vertices)
+    assert shelled == shellable == cm == sheds == {True, False}
+    assert gated == {"value", "SizeLimit"}
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_depth_and_cm_match_reisner_oracle(rng):
+    cx, limit = random_link_case(rng)
+    assert (_outcome(depth, cx, limit=limit)
+            == _outcome(reference_depth, cx, limit=limit))
+    assert (_outcome(is_cohen_macaulay, cx, limit=limit)
+            == _outcome(reference_is_cohen_macaulay, cx, limit=limit))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_shedding_witness_matches_oracle_face(rng):
+    cx, _ = random_link_case(rng)
+    for v in cx.vertices:
+        assert (shedding_failure_witness(cx, v)
+                == reference_shedding_failure_witness(cx, v))
+
+
+def test_depth_exact_cases(gl_s4):
+    # RP^2 is Q-acyclic with circle vertex links, so it is Cohen-Macaulay
+    # over Q; over F_2 its H_1 would make it fail
+    rp2 = SimplicialComplex.from_faces("123456", RP2_TRIANGLES)
+    assert depth(rp2) == 2 and is_cohen_macaulay(rp2)
+    # two triangles sharing vertex 1: the link of 1 is two disjoint edges;
+    # in the cone, apex last, that failure sits in the link of the edge {1, 6}
+    bowtie = SimplicialComplex.from_faces("12345", [["1", "2", "3"],
+                                                    ["1", "4", "5"]])
+    cone = SimplicialComplex.from_faces(
+        "123456", [["1", "2", "3", "6"], ["1", "4", "5", "6"]])
+    assert depth(bowtie) == 1 and depth(cone) == 2
+    assert not is_cohen_macaulay(cone)
+    # L(S4) is solvable with chief length 3, so depth is r - 2 = 1
+    ls4 = order_complex(gl_s4.lattice.poset)
+    assert depth(ls4) == 1
+    for cx in (rp2, bowtie, cone, ls4):
+        assert depth(cx) == reference_depth(cx)
+        assert is_cohen_macaulay(cx) == reference_is_cohen_macaulay(cx)
 
 
 @given(st.randoms(use_true_random=False))

@@ -24,7 +24,7 @@ from latshell import (
 )
 from latshell import groups as gm
 from latshell.cli import main
-from latshell.errors import NotAPermutation, NotSolvable, OrderLimit
+from latshell.errors import NotAPermutation, NotSolvable, OrderLimit, SizeLimit
 from latshell.labeling import stats_of_sequence
 
 from group_oracles import (
@@ -229,6 +229,14 @@ def test_solvability_by_depth(gl_s3, gl_s4, gl_a5):
     rep = solvability_by_depth(gl_a5)
     assert rep.verdict == "nonsolvable" and rep.agree
     assert rep.skeleton_cm
+
+    # L(S4)'s complex is nonpure: its 1-skeleton has 92 faces and its
+    # 2-skeleton, the checked one, 116.  At a face limit of 92 the depth is
+    # still computed, and the checked skeleton is refused as it always was.
+    with pytest.raises(SizeLimit) as info:
+        solvability_by_depth(gl_s4, homology_limit=92)
+    assert str(info.value) == ("complex has 116 faces, more than the face "
+                               "limit 92; raise it with --limit-faces")
 
 
 def test_skeleton_shellability(gl_s4, gl_a5):

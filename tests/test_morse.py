@@ -1,3 +1,5 @@
+import pytest
+
 from latshell import (
     connectivity_lower_bound,
     descending_equals_complements,
@@ -7,6 +9,7 @@ from latshell import (
     verify_skipped_interval_rules,
     weakly_descending_chains,
 )
+from latshell.errors import SizeLimit
 from latshell.labeling import EdgeLabeling
 from latshell.morse import _ordered_chains
 
@@ -22,6 +25,16 @@ def test_lex_first_chain_is_degenerate(n5):
     msis = minimal_skipped_intervals(P, lab, first)
     assert len(msis) == 1 and msis[0].degenerate
     assert msis[0].elements == first
+
+
+def test_chain_limit_names_count_limit_and_flag(b3):
+    P, L, m = b3
+    lab = left_modular_labeling(L, m)
+    assert len(_ordered_chains(P, lab, limit=6)) == 6
+    with pytest.raises(SizeLimit) as info:
+        _ordered_chains(P, lab, limit=5)
+    assert str(info.value) == ("poset has 6 maximal chains, more than the "
+                               "chain limit 5; raise it with --limit-chains")
 
 
 def test_n5_descent_is_length0_msi(n5):
