@@ -75,22 +75,31 @@ def load_poset(path: str) -> pm.Poset:
     return pm.build_poset(elements, [tuple(c) for c in covers])
 
 
-def load_labeling(path: str) -> lb.EdgeLabeling:
-    """A labeling file: ``edges``, an array of {from, to, label} objects
-    with string ends; the labels are all numbers or all strings."""
+def load_labeling(path: str, poset: pm.Poset) -> lb.EdgeLabeling:
+    """A labeling file: ``edges``, an array of {from, to, label} objects,
+    each a cover of ``poset`` listed at most once; the labels are all
+    numbers or all strings."""
     data = _read_json(path, LABELING_KEYS)
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise InputParseError(f"{path}: 'edges' must be an array")
+    covers = set(poset.covers())
     labels = {}
     for edge in edges:
         try:
             ends = (edge["from"], edge["to"])
-            labels[ends] = edge["label"]
+            label = edge["label"]
         except (TypeError, KeyError):
             raise InputParseError(f"{path}: bad edge entry {edge!r}") from None
         if not all(isinstance(e, str) for e in ends):
             raise InputParseError(f"{path}: edge {edge!r} has non-string ends")
+        if ends in labels:
+            raise InputParseError(f"{path}: edge {ends[0]!r} -> {ends[1]!r} "
+                                  "is listed twice")
+        if ends not in covers:
+            raise InputParseError(f"{path}: edge {ends[0]!r} -> {ends[1]!r} "
+                                  "is not a cover of the poset")
+        labels[ends] = label
     values = labels.values()
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                   for v in values)
@@ -200,7 +209,7 @@ def _parser() -> argparse.ArgumentParser:
     top.add_argument("--limit-chains", type=int, default=20000)
     top.add_argument("--limit-faces", type=int, default=200000)
     top.add_argument("--limit-vd-vertices", type=int, default=25)
-    top.add_argument("--limit-order", type=int, default=360)
+    top.add_argument("--limit-order", type=int, default=gm.ORDER_LIMIT)
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("poset")
@@ -304,7 +313,7 @@ def _label_verify(args):
     rep = Report("label verify", [args.poset, args.labeling])
     P = load_poset(args.poset)
     rep.element_order = list(P.elements)
-    lab = load_labeling(args.labeling)
+    lab = load_labeling(args.labeling, P)
     res = (lb.verify_el if args.strict else lb.verify_quasi_el)(P, lab)
     rep.results = {
         "ok": res.ok,
@@ -352,7 +361,7 @@ def _morse_report(args):
     rep = Report("morse report", [args.poset, args.labeling])
     P = load_poset(args.poset)
     rep.element_order = list(P.elements)
-    lab = load_labeling(args.labeling)
+    lab = load_labeling(args.labeling, P)
     report = mm.homology_consistency(P, lab, limit=args.limit_chains)
     rep.results = {
         "descending_chains": [

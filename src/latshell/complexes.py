@@ -38,7 +38,8 @@ from .errors import (
     VertexClash,
     VoidComplex,
 )
-from .poset import Chain, Poset, bits, interval, order_complex
+from .poset import (Chain, Poset, bits, build_poset, induced_covers, interval,
+                    order_complex)
 
 
 class SimplicialComplex:
@@ -781,19 +782,12 @@ def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> 
 
 
 def _delete_element(P: Poset, x: str) -> Poset:
-    from .poset import build_poset
-
     members = [e for e in P.elements if e != x]
-    mask = 0
-    for e in members:
-        mask |= 1 << P.idx(e)
+    mask = ((1 << P.n) - 1) & ~(1 << P.idx(x))
+    rows = induced_covers(P.up, mask)
     covers = []
     for i in bits(mask):
-        strict = P.up[i] & mask & ~(1 << i)
-        via = 0
-        for j in bits(strict):
-            via |= P.up[j] & ~(1 << j)
-        for j in bits(strict & ~via):
+        for j in bits(rows[i]):
             if not (P.cover_up[i] >> j) & 1:
                 raise InvalidCertificate(
                     f"removing {x!r} created the new cover "

@@ -31,14 +31,18 @@ from .lattice import (
     lattice_check,
     verify_chain_modularity,
 )
-from .poset import build_poset, order_complex
+from .poset import Poset, bits, induced_covers, order_complex
 
 
 Perm = tuple
 
+# Largest group order whose subgroups are enumerated (the CLI's
+# --limit-order default); S6 has order 720.
+ORDER_LIMIT = 720
+
 
 def _mul(p: Perm, q: Perm) -> Perm:
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _inv(p: Perm) -> Perm:
@@ -218,7 +222,7 @@ def _is_prime_power(n: int) -> bool:
     return n == 1
 
 
-def subgroups(G: PermGroup, order_limit: int = 360) -> list[frozenset]:
+def subgroups(G: PermGroup, order_limit: int = ORDER_LIMIT) -> list[frozenset]:
     """All subgroups, enumerated one conjugacy class at a time.
 
     Every subgroup is generated by the zuppos it contains (its cyclic
@@ -292,12 +296,9 @@ def is_normal(G: PermGroup, H: frozenset) -> bool:
     return True
 
 
-def generated_subgroup(G: PermGroup, seed) -> frozenset:
-    """The subgroup generated by the permutations in ``seed``."""
-    e = G.index(G.identity)
-    _, elems, _ = _extend(G.table(), {e}, [e], [],
-                          sorted(G.index(p) for p in seed))
-    return frozenset(G.elements[i] for i in elems)
+def _generated(table, e: int, seed) -> frozenset:
+    """Element indices of the subgroup generated by the indices in ``seed``."""
+    return _extend(table, {e}, [e], [], sorted(seed))[0]
 
 
 def is_solvable(G: PermGroup) -> bool:
@@ -350,104 +351,96 @@ class GroupLattice:
         return self.subgroup_sets[self.names.index(name)]
 
 
-def subgroup_lattice(G: PermGroup, order_limit: int = 360,
+def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT,
                      join_check_limit: int = 60) -> GroupLattice:
     """Build the subgroup lattice, verify the meet/join identities, flag
     normal subgroups, and fix a deterministic chief series.
 
-    Meets are checked against intersections for all pairs; joins against
-    generated subgroups for all pairs up to ``join_check_limit`` subgroups,
-    and on a deterministic sample beyond that.  Every normal subgroup must
-    classify as two-sided modular.
+    Subgroups are held as sets and masks of ``G.table()`` indices.  Meets
+    are checked against intersections for all pairs; joins against the
+    closure of the two subgroups' indices for all pairs up to
+    ``join_check_limit`` subgroups, and on a deterministic sample beyond
+    that.  Every normal subgroup must classify as two-sided modular, and
+    the chief series check reuses those reports.
     """
     subs = subgroups(G, order_limit)
-    names = [f"H{i}" for i in range(len(subs))]
-    by_name = dict(zip(names, subs))
+    n = len(subs)
+    names = [f"H{i}" for i in range(n)]
+    elem_index = G._index
+    members = [frozenset(elem_index[p] for p in h) for h in subs]
+    masks = [sum(1 << k for k in m) for m in members]
 
-    masks = []
-    elem_index = {p: i for i, p in enumerate(G.elements)}
-    for h in subs:
-        m = 0
-        for p in h:
-            m |= 1 << elem_index[p]
-        masks.append(m)
-
-    covers = []
-    for i, mi in enumerate(masks):
-        strict_ups = [j for j, mj in enumerate(masks)
-                      if j != i and mi | mj == mj]
-        for j in strict_ups:
-            if not any(masks[k] | masks[j] == masks[j] and masks[k] | mi == masks[k]
-                       and k != i and k != j for k in strict_ups):
-                covers.append((names[i], names[j]))
-    P = build_poset(names, covers)
+    # up[i]: the subgroups containing every element of H_i.  Subgroups are
+    # sorted by order, so H0 is trivial and the last one is G.
+    containing = [0] * G.order
+    for i, m in enumerate(members):
+        for k in m:
+            containing[k] |= 1 << i
+    up = []
+    for m in members:
+        row = (1 << n) - 1
+        for k in m:
+            row &= containing[k]
+        up.append(row)
+    P = Poset(names, up, induced_covers(up), 0, n - 1)
     L = lattice_check(P)
 
-    for i, j in itertools.combinations(range(len(subs)), 2):
-        got = by_name[L.meet(names[i], names[j])]
-        if got != subs[i] & subs[j]:
+    meet, join = L._meet, L._join
+    for i, j in itertools.combinations(range(n), 2):
+        if masks[meet[i][j]] != masks[i] & masks[j]:
             raise SelfCheckFailed("meet", f"meet of {names[i]} and {names[j]} "
                                           "disagrees with intersection")
-    pairs = itertools.combinations(range(len(subs)), 2)
-    if len(subs) > join_check_limit:
+    pairs = itertools.combinations(range(n), 2)
+    if n > join_check_limit:
         pairs = itertools.islice(pairs, 0, None, 97)
+    table, e = G.table(), G.index(G.identity)
     for i, j in pairs:
-        got = by_name[L.join(names[i], names[j])]
-        if got != generated_subgroup(G, subs[i] | subs[j]):
+        if members[join[i][j]] != _generated(table, e, members[i] | members[j]):
             raise SelfCheckFailed("join", f"join of {names[i]} and {names[j]} "
                                           "disagrees with generated subgroup")
 
-    normal_names = {names[i] for i, h in enumerate(subs) if is_normal(G, h)}
+    normal = sum(1 << i for i, h in enumerate(subs) if is_normal(G, h))
+    normal_names = {names[i] for i in bits(normal)}
+    reports = {}
     for nm in sorted(normal_names):
-        rep = classify_modularity(L, nm)
-        if not rep.modular:
+        reports[nm] = classify_modularity(L, nm)
+        if not reports[nm].modular:
             raise SelfCheckFailed("normal-modularity",
                                   f"normal subgroup {nm} is not two-sided modular")
 
-    chief_names = _chief_series_names(L, names, subs, normal_names)
-    chief = verify_chain_modularity(L, chief_names)
+    chief_names = _chief_series_names(P, normal)
+    chief = verify_chain_modularity(L, chief_names, reports)
     if chief.kind != "two-sided-modular":
         raise SelfCheckFailed("chief-modularity", "chief series failed the "
                               "two-sided modularity check")
     return GroupLattice(G, subs, names, L, normal_names, chief)
 
 
-def _chief_series_names(L, names, subs, normal_names):
-    order_of = {n: len(s) for n, s in zip(names, subs)}
-    key_of = {n: (len(s), sorted(s)) for n, s in zip(names, subs)}
-    normals = sorted(normal_names, key=lambda n: key_of[n])
+def _chief_series_names(P, normal: int) -> list[str]:
+    """A chief series of normal subgroups (the index mask ``normal``), from
+    the bottom up and, as a self-check, from the top down.
 
-    def up_from(start):
+    Each step takes the least subgroup, by (order, elements), among the
+    minimal normal subgroups above the current one (maximal below it, going
+    down): that is the lowest-index cover in the subposet of normal
+    subgroups, as subgroups are sorted by (order, elements).
+    """
+    def walk(start, end, rows):
+        covers = induced_covers(rows, normal)
         chain = [start]
-        while chain[-1] != L.top:
-            cur = chain[-1]
-            above = [n for n in normals if n != cur and L.leq(cur, n)]
-            minimal = [n for n in above
-                       if not any(m != n and L.leq(m, n) and L.leq(cur, m)
-                                  for m in above)]
-            chain.append(min(minimal, key=lambda n: key_of[n]))
+        while chain[-1] != end:
+            chain.append(next(bits(covers[chain[-1]])))
         return chain
 
-    def down_from(start):
-        chain = [start]
-        while chain[-1] != L.bottom:
-            cur = chain[-1]
-            below = [n for n in normals if n != cur and L.leq(n, cur)]
-            maximal = [n for n in below
-                       if not any(m != n and L.leq(n, m) and L.leq(m, cur)
-                                  for m in below)]
-            chain.append(min(maximal, key=lambda n: key_of[n]))
-        return list(reversed(chain))
-
-    bottom_up = up_from(L.bottom)
-    top_down = down_from(L.top)
+    bottom_up = walk(P.bottom, P.top, P.up)
+    top_down = walk(P.top, P.bottom, P.down)
     if len(bottom_up) != len(top_down):
         raise SelfCheckFailed("chief-length",
                               "two chief series computations disagree in length")
-    return bottom_up
+    return [P.elements[i] for i in bottom_up]
 
 
-def chief_series(G: PermGroup, order_limit: int = 360) -> ModularChain:
+def chief_series(G: PermGroup, order_limit: int = ORDER_LIMIT) -> ModularChain:
     return subgroup_lattice(G, order_limit).chief
 
 
@@ -484,7 +477,12 @@ def solvability_by_depth(GL: GroupLattice, exact_depth_face_limit: int = 4000,
         depth_exact = complex_depth(cx, limit=homology_limit)
     except SizeLimit:
         depth_exact = None
-    if depth_exact is not None and check < min(f.bit_count() for f in cx.facets):
+    if r == 0:
+        # the trivial group: the face of dimension r - 1 = -1 in its order
+        # complex comes from a chain with no cover, not r + 1 = 1 covers,
+        # so there is no (r - 1)-skeleton of the criterion to test
+        cm = False
+    elif depth_exact is not None and check < min(f.bit_count() for f in cx.facets):
         # the check-skeleton is pure, so it is Cohen-Macaulay iff
         # check <= depth
         cm = check <= depth_exact

@@ -2,8 +2,8 @@
 distributivity of generated sublattices.
 
 All tests here are exhaustive scans over the (small) element set; meets and
-joins are found by intersecting bound sets, and ties are reported rather
-than silently broken.
+joins are found by looking up intersections of down-sets and up-sets, and
+ties are reported rather than silently broken.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotAChain, NotALattice, NotLeftModular
-from .poset import Chain, Poset, bits, build_poset
+from .poset import Chain, Poset, bits, build_poset, induced_covers
 
 
 @dataclass(frozen=True)
@@ -91,55 +91,43 @@ class Lattice:
 def lattice_check(P: Poset) -> Lattice:
     """Verify that ``P`` is a lattice and compute its meet/join tables.
 
-    Raises NotALattice with the offending pair when some pair of elements
+    The meet of i and j exists exactly when the common lower bounds
+    ``down[i] & down[j]`` are the down-set of some element k, and then k is
+    the meet: k is a lower bound above all the others, and conversely the
+    down-set of a greatest lower bound is the set of all lower bounds.
+    Distinct elements have distinct down-sets, so one dictionary from
+    down-set to element finds every meet, and dually for joins.
+
+    Raises NotALattice with the first offending pair, in the order
+    (i, j >= i) with the meet before the join, when some pair of elements
     has no unique greatest lower or least upper bound.
     """
     P.require_bounded()
-    n = P.n
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            lower = P.down[i] & P.down[j]
-            upper = P.up[i] & P.up[j]
-            g = _unique_extremum(P, lower, greatest=True)
-            if g is None:
-                raise NotALattice(P.elements[i], P.elements[j],
-                                  _tie_reason(P, lower, "meet"))
-            l = _unique_extremum(P, upper, greatest=False)
-            if l is None:
-                raise NotALattice(P.elements[i], P.elements[j],
-                                  _tie_reason(P, upper, "join"))
-            meet[i][j] = meet[j][i] = g
-            join[i][j] = join[j][i] = l
+    down, up = P.down, P.up
+    down_of = {row: k for k, row in enumerate(down)}.get
+    up_of = {row: k for k, row in enumerate(up)}.get
+    meet, join = [], []
+    for i, (d, u) in enumerate(zip(down, up)):
+        # the pairs (i, j) for j >= i; those with j < i are in earlier rows
+        mrow = [down_of(d & e) for e in down[i:]]
+        jrow = [up_of(u & v) for v in up[i:]]
+        if None in mrow or None in jrow:
+            for j, g, l in zip(range(i, P.n), mrow, jrow):
+                for word, k, rows in (("meet", g, down), ("join", l, up)):
+                    if k is None:
+                        raise NotALattice(P.elements[i], P.elements[j],
+                                          _tie_reason(P, rows[i] & rows[j], word))
+        meet.append([row[i] for row in meet] + mrow)
+        join.append([row[i] for row in join] + jrow)
     return Lattice(P, meet, join)
-
-
-def _unique_extremum(P: Poset, mask: int, greatest: bool):
-    if not mask:
-        return None
-    for k in bits(mask):
-        if greatest:
-            if mask & ~P.down[k] == 0:
-                return k
-        else:
-            if mask & ~P.up[k] == 0:
-                return k
-    return None
 
 
 def _tie_reason(P: Poset, mask: int, word: str) -> str:
     if not mask:
         return f"no common bound for {word}"
-    extremes = []
-    for k in bits(mask):
-        others = mask & ~(1 << k)
-        if word == "meet":
-            if not any(P.leq_idx(k, m) for m in bits(others)):
-                extremes.append(P.elements[k])
-        else:
-            if not any(P.leq_idx(m, k) for m in bits(others)):
-                extremes.append(P.elements[k])
+    # the maximal lower bounds of a meet, the minimal upper bounds of a join
+    rows = P.up if word == "meet" else P.down
+    extremes = [P.elements[k] for k in bits(mask) if rows[k] & mask == 1 << k]
     return f"{word} is not unique among {extremes}"
 
 
@@ -152,37 +140,59 @@ def is_modular_pair(L: Lattice, x: str, y: str) -> bool:
 def modular_pair_witness(L: Lattice, x: str, y: str):
     """Return a violating z for the pair (x, y), or None if none exists."""
     P = L.poset
-    i, j = P.idx(x), P.idx(y)
-    jx = L.join_idx(j, i)
-    for k in bits(P.up[j]):
-        if L.meet_idx(jx, k) != L.join_idx(j, L.meet_idx(i, k)):
-            return L.elements[k]
+    j = P.idx(y)
+    k = _pair_witness(L._meet, L._join, P.idx(x), j, bits(P.up[j]))
+    return None if k is None else L.elements[k]
+
+
+def _pair_witness(meet, join, i: int, j: int, above_j):
+    """The first k in ``above_j`` (the up-set of j) with
+    (j v i) ^ k != j v (i ^ k), or None."""
+    mjx, jj, mi = meet[join[j][i]], join[j], meet[i]
+    for k in above_j:
+        if mjx[k] != jj[mi[k]]:
+            return k
     return None
 
 
 def classify_modularity(L: Lattice, x: str) -> ModularityReport:
-    """Classify ``x`` as left-modular and/or (two-sided) modular."""
+    """Classify ``x`` as left-modular and/or (two-sided) modular.
+
+    The witnesses are the first y in element order, and for it the first z,
+    that break the pair (x, y) and the pair (y, x).  Only y incomparable to
+    x are tried, because a comparable pair (a, b) never breaks: for z >= b,
+    if a <= b both sides of (b v a) ^ z == b v (a ^ z) are b, and if
+    a >= b both are a ^ z, as b <= a ^ z.  So skipping them leaves the
+    first witness as it is.
+    """
+    P = L.poset
+    meet, join = L._meet, L._join
+    i = P.idx(x)
+    above_x = list(bits(P.up[i]))
+    incomparable = bits(~(P.up[i] | P.down[i]) & ((1 << P.n) - 1))
     wl = wr = None
-    for y in L.elements:
-        z = modular_pair_witness(L, x, y)
-        if z is not None:
-            wl = (y, z)
-            break
-    for y in L.elements:
-        z = modular_pair_witness(L, y, x)
-        if z is not None:
-            wr = (y, z)
+    for j in incomparable:
+        if wl is None:
+            k = _pair_witness(meet, join, i, j, bits(P.up[j]))
+            if k is not None:
+                wl = (L.elements[j], L.elements[k])
+        if wr is None:
+            k = _pair_witness(meet, join, j, i, above_x)
+            if k is not None:
+                wr = (L.elements[j], L.elements[k])
+        if wl is not None and wr is not None:
             break
     left = wl is None
     return ModularityReport(x, left, left and wr is None, wl, wr)
 
 
-def verify_chain_modularity(L: Lattice, chain) -> ModularChain:
+def verify_chain_modularity(L: Lattice, chain, reports=None) -> ModularChain:
     """Validate a bottom-top chain of (left-)modular elements.
 
     Returns a ModularChain tagged two-sided-modular when every element is
     modular, left-modular when every element is at least left-modular, and
-    raises NotLeftModular otherwise.
+    raises NotLeftModular otherwise.  ``reports`` may map elements to their
+    ``classify_modularity`` reports; elements it lacks are classified here.
     """
     elems = tuple(chain.elements if isinstance(chain, (Chain, ModularChain)) else chain)
     if not elems or elems[0] != L.bottom or elems[-1] != L.top:
@@ -190,7 +200,8 @@ def verify_chain_modularity(L: Lattice, chain) -> ModularChain:
     for a, b in zip(elems, elems[1:]):
         if a == b or not L.leq(a, b):
             raise NotAChain(f"{a!r} !< {b!r}")
-    reports = [classify_modularity(L, m) for m in elems]
+    known = reports or {}
+    reports = [known.get(m) or classify_modularity(L, m) for m in elems]
     for rep in reports:
         if not rep.left_modular:
             raise NotLeftModular(rep.element, rep.witness_left)
@@ -263,21 +274,6 @@ def generated_sublattice(L: Lattice, seed) -> Lattice:
             break
         current |= new
     members = sorted(current)
-    names = [L.elements[i] for i in members]
-    covers = _covers_of_restriction(P, members)
-    return lattice_check(build_poset(names, covers))
-
-
-def _covers_of_restriction(P: Poset, members: list[int]) -> list[tuple[str, str]]:
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    covers = []
-    for i in members:
-        strict = P.up[i] & mask & ~(1 << i)
-        via = 0
-        for j in bits(strict):
-            via |= P.up[j] & ~(1 << j)
-        for j in bits(strict & ~via):
-            covers.append((P.elements[i], P.elements[j]))
-    return covers
+    rows = induced_covers(P.up, sum(1 << i for i in members))
+    covers = [(L.elements[i], L.elements[j]) for i in members for j in bits(rows[i])]
+    return lattice_check(build_poset([L.elements[i] for i in members], covers))

@@ -164,6 +164,30 @@ class Poset:
         return order
 
 
+def induced_covers(up, members: int | None = None) -> list[int]:
+    """Cover rows of the subposet induced on the index mask ``members``
+    (default: every element), from the up-set rows ``up`` (``up[i]``
+    includes i).
+
+    A cover of i is a strict successor that no other strict successor lies
+    below, so the row is the transitive reduction
+    ``s & ~OR(strict up-set of j for j in s)`` of i's strict up-set s
+    within ``members``.  Rows of non-members are 0.
+    """
+    n = len(up)
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    if members is None:
+        members = (1 << n) - 1
+    rows = [0] * n
+    for i in bits(members):
+        s = strict[i] & members
+        via = 0
+        for j in bits(s):
+            via |= strict[j]
+        rows[i] = s & ~via
+    return rows
+
+
 def build_poset(elements, covers) -> Poset:
     """Build a poset from element ids and cover pairs.
 
@@ -216,14 +240,7 @@ def build_poset(elements, covers) -> Poset:
             mask |= up[j]
         up[i] = mask
 
-    # Canonical covers: strict successors not reachable through another one.
-    cover_up = [0] * n
-    for i in range(n):
-        strict = up[i] & ~(1 << i)
-        via = 0
-        for j in bits(strict):
-            via |= up[j] & ~(1 << j)
-        cover_up[i] = strict & ~via
+    cover_up = induced_covers(up)
 
     for x, y in seen_pairs:
         if not (cover_up[index[x]] >> index[y]) & 1:
@@ -315,13 +332,18 @@ def is_graded(P: Poset) -> GradedVerdict:
 
 
 def order_complex(P: Poset):
-    """The simplicial complex of chains of the proper part of ``P``."""
+    """The simplicial complex of chains of the proper part of ``P``.
+
+    Its facets are the maximal chains less their ends.  Distinct maximal
+    chains are pairwise incomparable as sets (a chain inside another could
+    be extended), so they are the facets as they stand, with nothing to
+    remove.  Every element of a bounded poset lies on a maximal chain, so
+    the vertices are the proper elements in input order.
+    """
     from .complexes import SimplicialComplex
 
     P.require_bounded()
-    proper = [P.elements[i] for i in range(P.n) if i not in (P.bottom, P.top)]
-    facets = set()
-    for c in P.maximal_chains_idx():
-        facets.add(frozenset(P.elements[i] for i in c
-                             if i not in (P.bottom, P.top)))
-    return SimplicialComplex.from_faces(proper, facets)
+    proper = [i for i in range(P.n) if i not in (P.bottom, P.top)]
+    bit = {i: 1 << v for v, i in enumerate(proper)}
+    facets = [sum(map(bit.__getitem__, c[1:-1])) for c in P.maximal_chains_idx()]
+    return SimplicialComplex([P.elements[i] for i in proper], facets)

@@ -78,7 +78,7 @@ def test_label_modular_and_roundtrip(n5_file, tmp_path):
 
     lab_file = tmp_path / "lab.json"
     lab_file.write_text(json.dumps(labeling))
-    assert load_labeling(str(lab_file)).labels == expected
+    assert load_labeling(str(lab_file), load_poset(n5_file)).labels == expected
 
     code, text = run(["label", "verify", "--poset", n5_file,
                       "--labeling", str(lab_file)])
@@ -330,16 +330,52 @@ def test_malformed_labelings_exit_2(tmp_path, capsys, n5_file, edges):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"edges": edges}))
     with pytest.raises(InputParseError):
-        load_labeling(str(bad))
+        load_labeling(str(bad), load_poset(n5_file))
     for sub in ("label verify", "morse report"):
         assert main([*sub.split(), "--poset", n5_file, "--labeling", str(bad)]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "InputParseError"
 
 
-def test_labels_may_be_all_numbers_or_all_strings(tmp_path):
+def test_labels_may_be_all_numbers_or_all_strings(tmp_path, n5_file):
     for labels in ([1, 2.5], ["x", "y"]):
         lab = tmp_path / "lab.json"
         lab.write_text(json.dumps({"edges": [
             {"from": "0", "to": "a", "label": labels[0]},
             {"from": "a", "to": "1", "label": labels[1]}]}))
-        assert sorted(load_labeling(str(lab)).labels.values()) == labels
+        loaded = load_labeling(str(lab), load_poset(n5_file))
+        assert sorted(loaded.labels.values()) == labels
+
+
+@pytest.fixture
+def chain2_file(tmp_path):
+    p = tmp_path / "chain2.json"
+    p.write_text(json.dumps({"elements": ["0", "1"], "covers": [["0", "1"]]}))
+    return str(p)
+
+
+def _labeling_exits_2(capsys, poset_file, lab_file, words):
+    for sub in ("label verify", "morse report"):
+        assert main([*sub.split(), "--poset", poset_file,
+                     "--labeling", lab_file]) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"] == "InputParseError" and words in body["message"]
+
+
+def test_duplicate_labeling_edge_exits_2(tmp_path, capsys, chain2_file):
+    lab = tmp_path / "dup.json"
+    lab.write_text(json.dumps({"edges": [
+        {"from": "0", "to": "1", "label": 1},
+        {"from": "0", "to": "1", "label": 5}]}))
+    with pytest.raises(InputParseError, match="listed twice"):
+        load_labeling(str(lab), load_poset(chain2_file))
+    _labeling_exits_2(capsys, chain2_file, str(lab), "listed twice")
+
+
+def test_labeling_edge_that_is_not_a_cover_exits_2(tmp_path, capsys, chain2_file):
+    lab = tmp_path / "stray.json"
+    lab.write_text(json.dumps({"edges": [
+        {"from": "0", "to": "1", "label": 1},
+        {"from": "0", "to": "9", "label": 2}]}))
+    with pytest.raises(InputParseError, match="not a cover"):
+        load_labeling(str(lab), load_poset(chain2_file))
+    _labeling_exits_2(capsys, chain2_file, str(lab), "not a cover")

@@ -127,7 +127,8 @@ S5 = gm.symmetric(5)
 @given(st.lists(st.integers(0, 119), max_size=4))
 def test_generated_subgroup_matches_reference(picks):
     seed = [S5.elements[i] for i in picks]
-    assert (gm.generated_subgroup(S5, seed)
+    got = gm._generated(S5.table(), S5.index(S5.identity), picks)
+    assert ({S5.elements[i] for i in got}
             == reference_generated_subgroup(S5, seed))
 
 
@@ -163,8 +164,10 @@ def test_group_lattice_report_is_deterministic(tmp_path):
 def test_self_check_failure_is_typed(tmp_path, monkeypatch, capsys):
     grp = tmp_path / "s3.grp"
     grp.write_text("degree: 3\n(1 2)\n(1 2 3)\n")
-    monkeypatch.setattr(gm, "generated_subgroup",
-                        lambda G, seed: frozenset(G.elements))
+    # the join check closes table indices; a closure that always returns
+    # the whole group disagrees with every join below the top
+    monkeypatch.setattr(gm, "_generated",
+                        lambda table, e, seed: frozenset(range(len(table))))
     assert main(["group", "lattice", str(grp)]) == 1
     body = json.loads(capsys.readouterr().out)
     assert body["error"] == "SelfCheckFailed" and body["check"] == "join"
@@ -196,6 +199,32 @@ def test_tiny_group_lattice():
     assert GL.r == 1
     rep = solvability_by_depth(GL)
     assert rep.verdict == "solvable" and rep.depth_exact == -1 == GL.r - 2
+
+
+@pytest.mark.parametrize("method", ["depth", "skeleton"])
+def test_trivial_group_is_solvable(tmp_path, capsys, method):
+    grp = tmp_path / "trivial.grp"
+    grp.write_text("degree: 3\n")
+    assert main(["group", "solvable", "--method", method, str(grp)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["r"] == 0
+    assert results["verdict"] == "solvable" and results["agree"] is True
+
+
+def test_s6_at_default_limits(tmp_path, capsys, monkeypatch):
+    grp = tmp_path / "s6.grp"
+    grp.write_text("degree: 6\n(1 2)\n(1 2 3 4 5 6)\n")
+    built = []
+
+    def keep(G, **kwargs):
+        built.append(subgroup_lattice(G, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(gm, "subgroup_lattice", keep)
+    assert main(["group", "solvable", "--method", "depth", str(grp)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(built[0].names) == 1455 and built[0].r == 2 == results["r"]
+    assert results["verdict"] == "nonsolvable" and results["agree"] is True
 
 
 def test_chief_series(gl_s3, gl_s4, gl_a5):
