@@ -58,6 +58,66 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_").lower()
 
 
+def _write_json(workdir: str, path: str, data) -> str:
+    with open(os.path.join(workdir, path), "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return path
+
+
+def _order_json(order) -> dict:
+    """A shelling order as an order file, each facet's names sorted."""
+    return {"facets": [sorted(f) for f in order]}
+
+
+def _lattice_cases(workdir: str, name: str, P, chain) -> list:
+    """Labeling, Morse and complex cases on one lattice.  The order files
+    of the ``complex shell`` cases are the shellings read off the
+    constructive certificates (the whole order complex, when no chain
+    repeats a label three times running, and the skeleton at the
+    chain-complexity bound), so the reports' input digests pin them."""
+    from latshell import complexes as cxm
+    from latshell import labeling as lb
+    from latshell import lattice as lm
+    from latshell.cli import complex_json, labeling_json
+    from latshell.errors import RepeatRunTooLong
+    from latshell.poset import order_complex
+
+    L = lm.lattice_check(P)
+    lab = lb.left_modular_labeling(L, lm.verify_chain_modularity(L, chain))
+    poset = f"{name}.json"
+    labeling = _write_json(workdir, f"{name}.labeling.json", labeling_json(lab))
+    full = order_complex(P)
+    cx = _write_json(workdir, f"{name}.complex.json", complex_json(full))
+    out = [
+        (f"label verify {name}",
+         ["label", "verify", "--poset", poset, "--labeling", labeling]),
+        (f"label verify --strict {name}",
+         ["label", "verify", "--strict", "--poset", poset,
+          "--labeling", labeling]),
+        (f"morse report {name}",
+         ["morse", "report", "--poset", poset, "--labeling", labeling]),
+        (f"complex vd {name}", ["complex", "vd", cx]),
+        (f"complex depth {name}", ["complex", "depth", cx]),
+    ]
+    try:
+        _, cert = cxm.constructive_vd_full(P, lab)
+    except RepeatRunTooLong:
+        pass
+    else:
+        order = _write_json(workdir, f"{name}.full-order.json",
+                            _order_json(cxm.shelling_from_vd(cert, full)))
+        out.append((f"complex shell full {name}",
+                    ["complex", "shell", cx, "--verify", order]))
+    bound, _ = lb.min_chain_complexity(P, lab)
+    skel, cert = cxm.constructive_vd_skeleton(P, lab, bound)
+    skel_path = _write_json(workdir, f"{name}.skeleton.json", complex_json(skel))
+    order = _write_json(workdir, f"{name}.skeleton-order.json",
+                        _order_json(cxm.shelling_from_vd(cert, skel)))
+    out.append((f"complex shell skeleton {name}",
+                ["complex", "shell", skel_path, "--verify", order]))
+    return out
+
+
 def cases(workdir: str) -> list[tuple[str, list[str]]]:
     """Write the input files into ``workdir``; return (case, argv) pairs
     whose paths are relative to it."""
@@ -78,6 +138,16 @@ def cases(workdir: str) -> list[tuple[str, list[str]]]:
         out.append((f"label modular {name}",
                     ["label", "modular", "--poset", path,
                      "--chain", ",".join(chain)]))
+        out.extend(_lattice_cases(workdir, name, P, chain))
+    # the constant labeling on the diamond: quasi-EL, but two spines
+    b2, _ = _lattices()["b2"]
+    path = _write_json(workdir, "b2.constant.json",
+                       {"edges": [{"from": x, "to": y, "label": 1}
+                                  for x, y in b2.covers()]})
+    for flags in ([], ["--strict"]):
+        out.append((" ".join(["label verify"] + flags + ["b2 constant"]),
+                    ["label", "verify"] + flags
+                    + ["--poset", "b2.json", "--labeling", path]))
     return out
 
 

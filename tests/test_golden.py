@@ -34,4 +34,4 @@ def test_reports_match_goldens(hash_seed):
 
 def test_goldens_pin_both_exit_codes():
     exits = {row["exit"] for row in _golden().values()}
-    assert exits == {0, 2}
+    assert exits == {0, 1, 2}
