@@ -13,10 +13,14 @@ by the link formula depth = min |s| + h(lk s), h the least degree of
 nonzero reduced rational homology (Munkres 1984), and a complex is
 Cohen-Macaulay iff it is pure with depth equal to its dimension.
 
-The constructive decomposition of skeleta of order complexes follows the
-lexicographic recursion: shed the descent element of the lexicographically
-greatest single-descent chain, and in the all-ascending base case assemble
-the complex as a join of a spine simplex with the gap complexes.
+The constructive decomposition of order complexes is one lexicographic
+recursion for every skeleton, the whole complex being the skeleton at its
+own dimension: shed the descent element of the lexicographically greatest
+single-descent chain, whose link is the join of the lower and upper
+interval complexes, and in the all-ascending base case assemble the complex
+as a join of a spine simplex with the gap complexes.  One join builder
+certifies both joins, reading a level at or above a factor's dimension as
+the whole factor.
 """
 
 from __future__ import annotations
@@ -613,14 +617,6 @@ def cert_simplex_skeleton(names, t: int):
                   cert_simplex_skeleton(rest, t - 1))
 
 
-def cert_points(names):
-    """Certificate for a 0-dimensional complex on ``names``."""
-    names = tuple(names)
-    if len(names) <= 1:
-        return VDLeaf()
-    return VDNode(names[-1], cert_points(names[:-1]), VDLeaf())
-
-
 @dataclass(frozen=True)
 class JoinFactor:
     """One factor of a join: a full complex, the skeleton level used, and a
@@ -634,10 +630,12 @@ class JoinFactor:
 def join_skeleton_certificate(factors, t: int):
     """Certificate for skel_t of the join of the factors.
 
-    Requires t + 1 <= sum(level + 1), each level between -1 and the factor
-    dimension, and each proper skeleton pure (every facet of the factor at
-    least level + 1 vertices).  Shedding vertices are pulled from the factor
-    certificates; exchanges across factors exist by purity.
+    A level at or above a factor's dimension takes the whole factor, and t
+    is read as at most the dimension of the join.  Requires each level at
+    least -1, each proper skeleton pure (every facet of the factor at least
+    level + 1 vertices), and t + 1 <= sum(level + 1) over the levels so
+    read.  Shedding vertices are pulled from the factor certificates;
+    exchanges across factors exist by purity.
     """
     cxs = [f.complex for f in factors]
     total = 0
@@ -645,12 +643,14 @@ def join_skeleton_certificate(factors, t: int):
         if f.complex.is_void:
             raise InvalidCertificate("void factor in a join")
         d = f.complex.dim
-        if not (-1 <= f.level <= d):
+        if f.level < -1:
             raise InvalidCertificate(f"level {f.level} out of range for dim {d}")
-        if f.level < d and f.level >= 0:
-            if min(x.bit_count() for x in f.complex.facets) < f.level + 1:
+        level = min(f.level, d)
+        if 0 <= level < d:
+            if min(x.bit_count() for x in f.complex.facets) < level + 1:
                 raise InvalidCertificate("factor skeleton is not pure")
-        total += f.level + 1
+        total += level + 1
+    t = min(t, sum(c.dim + 1 for c in cxs) - 1)
     if t + 1 > total:
         raise InvalidCertificate(f"target {t} exceeds available levels")
 
@@ -691,32 +691,6 @@ def join_skeleton_certificate(factors, t: int):
             raise InvalidCertificate("leaf certificate on a non-simplex factor")
         union.extend(f.complex.vertices)
     return cert_simplex_skeleton(tuple(union), t)
-
-
-def join_full_certificate(pairs):
-    """Certificate for the full join of complexes, from full certificates.
-
-    ``pairs`` is a list of (complex, certificate).  A shedding vertex of a
-    factor sheds in the join outright, so no level bookkeeping is needed.
-    """
-    for cx, _ in pairs:
-        if cx.is_void:
-            raise InvalidCertificate("void factor in a join")
-    n_facets = 1
-    for cx, _ in pairs:
-        n_facets *= len(cx.facets)
-    if n_facets <= 1:
-        return VDLeaf()
-    for j, (cx, cert) in enumerate(pairs):
-        if isinstance(cert, VDNode):
-            v = cert.vertex
-            del_pairs = list(pairs)
-            del_pairs[j] = (cx.delete_vertex(v), cert.deletion)
-            link_pairs = list(pairs)
-            link_pairs[j] = (cx.link_of((v,)), cert.link)
-            return VDNode(v, join_full_certificate(del_pairs),
-                          join_full_certificate(link_pairs))
-    raise InvalidCertificate("multiple facets but every factor is a simplex")
 
 
 # --------------------------------------------------------------------------
@@ -811,21 +785,36 @@ def constructive_vd_skeleton(P: Poset, lab, target_r: int,
     if target_r > bound:
         raise TargetTooLarge(f"target {target_r} exceeds the bound {bound}")
     cx = order_complex(P).skeleton(target_r - 2)
-    cert = _vd_skel_rec(P, lab, target_r, recheck_limit)
-    return cx, cert
+    return cx, _vd_rec(P, lab, target_r - 2, recheck_limit)
 
 
-def _vd_skel_rec(P: Poset, lab, target_r: int, recheck_limit: int):
-    from . import labeling as lb
+def constructive_vd_full(P: Poset, lab, recheck_limit: int = 12):
+    """Certificate for the full order complex, valid when no maximal chain
+    repeats a label more than twice in a row."""
+    for c in P.maximal_chains_idx():
+        names = tuple(P.elements[i] for i in c)
+        seq = lab.sequence(names)
+        for k in range(len(seq) - 2):
+            if seq[k] == seq[k + 1] == seq[k + 2]:
+                raise RepeatRunTooLong(names, seq[k])
+    cx = order_complex(P)
+    return cx, _vd_rec(P, lab, cx.dim, recheck_limit)
 
-    t = target_r - 2
-    cx = order_complex(P).skeleton(t)
+
+def _vd_rec(P: Poset, lab, t: int, recheck_limit: int):
+    """Certificate for skel_t of the order complex of ``P``, t read as at
+    most its dimension.  Sheds the descent element x of the lexicographically
+    greatest single-descent chain; the link of x is the join of the order
+    complexes of [0, x] and [x, 1].  With every chain weakly ascending the
+    complex is the join of ``_base_case_factors``."""
+    full = order_complex(P)
+    t = min(t, full.dim)
+    cx = full.skeleton(t)
     if len(cx.facets) <= 1:
         return VDLeaf()
-
-    chains = [tuple(P.elements[i] for i in c) for c in P.maximal_chains_idx()]
-    if all(lb.stats_of_sequence(c, lab.sequence(c)).weakly_ascending
-           for c in chains):
+    try:
+        pick = lex_greatest_single_descent_chain(P, lab, recheck_limit)
+    except AllChainsAscending:
         factors = _base_case_factors(P, lab, t)
         cert = join_skeleton_certificate(factors, t)
         joined = factors[0].complex
@@ -835,10 +824,9 @@ def _vd_skel_rec(P: Poset, lab, target_r: int, recheck_limit: int):
             raise InvalidCertificate("base case join does not match the skeleton")
         return cert
 
-    pick = lex_greatest_single_descent_chain(P, lab, recheck_limit)
     x = pick.element
-    deletion = _vd_skel_rec(_delete_element(P, x), lab, target_r, recheck_limit)
-    link_factors, link_cx = _split_factors(P, lab, x, target_r, recheck_limit)
+    deletion = _vd_rec(_delete_element(P, x), lab, t, recheck_limit)
+    link_factors, link_cx = _split_factors(P, lab, x, t, recheck_limit)
     if link_cx != cx.link_of((x,)):
         raise InvalidCertificate("link join does not match the complex link")
     link_cert = join_skeleton_certificate(link_factors, t - 1)
@@ -866,16 +854,22 @@ def _base_case_factors(P: Poset, lab, t: int):
     used = t - r0
     for k, g in enumerate(gap_complexes):
         if k < used:
-            zero = g.skeleton(0)
-            factors.append(JoinFactor(g, 0, cert_points(zero.vertices)))
+            factors.append(JoinFactor(g, 0, cert_simplex_skeleton(g.vertices, 0)))
         else:
             factors.append(JoinFactor(g, -1, VDLeaf()))
     return factors
 
 
-def _split_factors(P: Poset, lab, x: str, target_r: int, recheck_limit: int):
+def _split_factors(P: Poset, lab, x: str, t: int, recheck_limit: int):
     """Join factors for the link of the shed element: the lower interval at
-    its own full complexity, the upper interval at what remains."""
+    its own full complexity, the upper interval at what remains of t.
+
+    An interval taken below its dimension must not exceed its own chain
+    complexity bound.  One taken whole needs no bound: the order complex
+    itself decomposes when no chain repeats a label three times running,
+    which ``constructive_vd_full`` checks at the root and every chain
+    segment inherits.
+    """
     from . import labeling as lb
 
     bottom, top = P.elements[P.bottom], P.elements[P.top]
@@ -890,75 +884,14 @@ def _split_factors(P: Poset, lab, x: str, target_r: int, recheck_limit: int):
     i, j = pairs.pop()
 
     factors = []
-    for sub, tr in ((below, i + j), (above, target_r - i - j)):
+    for sub, level in ((below, i + j - 2), (above, t - i - j)):
         cxf = order_complex(sub)
-        if tr >= 2:
-            bound, _ = lb.min_chain_complexity(sub, lab)
-            if tr > bound:
+        if level >= 0:
+            if level < cxf.dim and level + 2 > lb.min_chain_complexity(sub, lab)[0]:
                 raise InvalidCertificate("interval target exceeds its bound")
-            factors.append(JoinFactor(cxf, tr - 2,
-                                      _vd_skel_rec(sub, lab, tr, recheck_limit)))
+            factors.append(JoinFactor(cxf, level,
+                                      _vd_rec(sub, lab, level, recheck_limit)))
         else:
             factors.append(JoinFactor(cxf, -1, VDLeaf()))
-    joined = factors[0].complex.join(factors[1].complex).skeleton(target_r - 3)
+    joined = factors[0].complex.join(factors[1].complex).skeleton(t - 1)
     return factors, joined
-
-
-def constructive_vd_full(P: Poset, lab, recheck_limit: int = 12):
-    """Certificate for the full order complex, valid when no maximal chain
-    repeats a label more than twice in a row."""
-    from . import labeling as lb
-
-    for c in P.maximal_chains_idx():
-        names = tuple(P.elements[i] for i in c)
-        seq = lab.sequence(names)
-        for k in range(len(seq) - 2):
-            if seq[k] == seq[k + 1] == seq[k + 2]:
-                raise RepeatRunTooLong(names, seq[k])
-    cx = order_complex(P)
-    return cx, _vd_full_rec(P, lab, recheck_limit)
-
-
-def _vd_full_rec(P: Poset, lab, recheck_limit: int):
-    from . import labeling as lb
-
-    cx = order_complex(P)
-    if len(cx.facets) <= 1:
-        return VDLeaf()
-    chains = [tuple(P.elements[i] for i in c) for c in P.maximal_chains_idx()]
-    if all(lb.stats_of_sequence(c, lab.sequence(c)).weakly_ascending
-           for c in chains):
-        spine = lb.interval_spine(P, lab)
-        if not isinstance(spine, lb.AscentSpine):
-            raise InvalidCertificate(f"no spine in the base case: {spine}")
-        interior = spine.elements[1:-1]
-        simplex = simplex_complex(interior) if interior else empty_complex()
-        pairs = [(simplex, VDLeaf())]
-        for u, v in zip(spine.elements, spine.elements[1:]):
-            sub = interval(P, u, v)
-            if sub.n > 2:
-                g = order_complex(sub)
-                if g.dim != 0:
-                    raise InvalidCertificate(
-                        "a gap interval is not an antichain; repeat runs too long")
-                pairs.append((g, cert_points(g.vertices)))
-        cert = join_full_certificate(pairs)
-        joined = pairs[0][0]
-        for g, _ in pairs[1:]:
-            joined = joined.join(g)
-        if joined != cx:
-            raise InvalidCertificate("base case join does not match the complex")
-        return cert
-
-    pick = lex_greatest_single_descent_chain(P, lab, recheck_limit)
-    x = pick.element
-    deletion = _vd_full_rec(_delete_element(P, x), lab, recheck_limit)
-    bottom, top = P.elements[P.bottom], P.elements[P.top]
-    below, above = interval(P, bottom, x), interval(P, x, top)
-    fA = order_complex(below)
-    fB = order_complex(above)
-    if fA.join(fB) != cx.link_of((x,)):
-        raise InvalidCertificate("link join does not match the complex link")
-    pairs = [(fA, _vd_full_rec(below, lab, recheck_limit)),
-             (fB, _vd_full_rec(above, lab, recheck_limit))]
-    return VDNode(x, deletion, join_full_certificate(pairs))

@@ -362,7 +362,8 @@ def verify_quasi_cl(P: Poset, rlab: RootedLabeling, max_elements: int = 40) -> Q
     """
     P.require_bounded()
     if P.n > max_elements:
-        raise SizeLimit(f"{P.n} elements exceeds the rooted limit {max_elements}")
+        raise SizeLimit(f"poset has {P.n} elements, more than the rooted "
+                        f"element limit {max_elements}")
     violations = []
     spines = {}
     bottom = P.elements[P.bottom]

@@ -20,6 +20,7 @@ from latshell import (
     lattice_check,
     left_modular_labeling,
     lex_greatest_single_descent_chain,
+    min_chain_complexity,
     order_complex,
     shelling_from_vd,
     validate_vd_certificate,
@@ -30,10 +31,8 @@ from latshell import complexes as cxm
 from latshell import groups as gm
 from latshell.complexes import (
     JoinFactor,
-    cert_points,
     cert_simplex_skeleton,
     empty_complex,
-    join_full_certificate,
     join_skeleton_certificate,
     shedding_failure_witness,
     simplex_complex,
@@ -62,7 +61,7 @@ from complex_oracles import (
     reference_shedding_failure_witness,
     reference_verify_shelling,
 )
-from conftest import subset_poset
+from conftest import left_modular_maximal_chains, subset_poset
 
 
 def points(*names):
@@ -149,7 +148,7 @@ def test_shelling_from_handmade_certificate():
     # 4-cycle: shed a; deletion is the path b-c-d, link is two points
     cyc = cycle4()
     path_cert = VDNode("b", VDLeaf(), VDLeaf())
-    cert = VDNode("a", path_cert, cert_points(("b", "d")))
+    cert = VDNode("a", path_cert, cert_simplex_skeleton(("b", "d"), 0))
     validate_vd_certificate(cert, cyc)
     order = shelling_from_vd(cert, cyc)
     assert verify_shelling(cyc, order)
@@ -196,15 +195,20 @@ def test_cert_simplex_skeleton_and_points():
         cert = cert_simplex_skeleton(names, t)
         validate_vd_certificate(cert, cx)
         assert verify_shelling(cx, shelling_from_vd(cert, cx))
-    pts = points("a", "b", "c")
-    validate_vd_certificate(cert_points(("a", "b", "c")), pts)
+    # the 0-skeleton is a set of points, shed one at a time
+    validate_vd_certificate(cert_simplex_skeleton(("a", "b", "c"), 0),
+                            points("a", "b", "c"))
+    assert cert_simplex_skeleton(("a", "b"), 0) == VDNode("b", VDLeaf(), VDLeaf())
+
+
+def _point_factor(*names):
+    return JoinFactor(points(*names), 0, cert_simplex_skeleton(names, 0))
 
 
 def test_join_skeleton_certificate():
     a = points("a", "b", "c")
     b = points("x", "y")
-    factors = [JoinFactor(a, 0, cert_points(a.vertices)),
-               JoinFactor(b, 0, cert_points(b.vertices))]
+    factors = [_point_factor("a", "b", "c"), _point_factor("x", "y")]
     joined = a.join(b).skeleton(1)
     cert = join_skeleton_certificate(factors, 1)
     validate_vd_certificate(cert, joined)
@@ -213,7 +217,7 @@ def test_join_skeleton_certificate():
     # a simplex factor at reduced level
     s = simplex_complex(("p", "q", "r"))
     factors = [JoinFactor(s, 1, cert_simplex_skeleton(s.vertices, 1)),
-               JoinFactor(b, 0, cert_points(b.vertices))]
+               _point_factor("x", "y")]
     joined = s.join(b).skeleton(2)
     cert = join_skeleton_certificate(factors, 2)
     validate_vd_certificate(cert, joined)
@@ -224,14 +228,41 @@ def test_join_skeleton_certificate():
     cert = join_skeleton_certificate(factors, 2)
     validate_vd_certificate(cert, joined)
 
-
-def test_join_full_certificate():
-    pairs = [(simplex_complex(("p", "q")), VDLeaf()),
-             (points("x", "y"), cert_points(("x", "y")))]
-    joined = pairs[0][0].join(pairs[1][0])
-    cert = join_full_certificate(pairs)
+    # every level at its factor's dimension: the whole join
+    edge = simplex_complex(("p", "q"))
+    factors = [JoinFactor(edge, 1, VDLeaf()), _point_factor("x", "y")]
+    joined = edge.join(b)
+    cert = join_skeleton_certificate(factors, 2)
+    assert cert == VDNode("y", VDLeaf(), VDLeaf())
     validate_vd_certificate(cert, joined)
     assert verify_shelling(joined, shelling_from_vd(cert, joined))
+
+    # a level above a factor's dimension, and t above the join's, read as
+    # the whole factor and the whole join
+    cyc = cycle4()
+    factors = [JoinFactor(cyc, 5, VDNode("a", VDNode("b", VDLeaf(), VDLeaf()),
+                                         cert_simplex_skeleton(("b", "d"), 0))),
+               JoinFactor(b, 3, cert_simplex_skeleton(("x", "y"), 0))]
+    joined = cyc.join(b)
+    cert = join_skeleton_certificate(factors, 7)
+    validate_vd_certificate(cert, joined)
+    assert verify_shelling(joined, shelling_from_vd(cert, joined))
+
+
+def test_join_skeleton_certificate_refusals():
+    b = points("x", "y")
+    with pytest.raises(InvalidCertificate, match="void factor"):
+        join_skeleton_certificate(
+            [JoinFactor(void_complex(), -1, VDLeaf()), _point_factor("x", "y")], 0)
+    with pytest.raises(InvalidCertificate, match="level -2 out of range"):
+        join_skeleton_certificate([JoinFactor(b, -2, VDLeaf())], -1)
+    # a triangle with a lone point: its 1-skeleton is not pure
+    impure = SimplicialComplex.from_faces("pqrs", [["p", "q", "r"], ["s"]])
+    with pytest.raises(InvalidCertificate, match="not pure"):
+        join_skeleton_certificate([JoinFactor(impure, 1, VDLeaf())], 1)
+    with pytest.raises(InvalidCertificate, match="target 1 exceeds"):
+        join_skeleton_certificate(
+            [_point_factor("a", "b"), JoinFactor(b, -1, VDLeaf())], 1)
 
 
 def test_lex_greatest_single_descent(n5, b3):
@@ -281,14 +312,17 @@ def test_repeat_run_gate():
         constructive_vd_full(P, lab)
 
 
-def test_every_other_rank_left_modular_chain_gives_full_vd():
-    # stacked diamonds: chain hitting every other rank, gap intervals of
-    # length two; the whole order complex decomposes
+def stacked_diamonds():
     elements = ["0", "a", "b", "m", "c", "d", "1"]
     covers = [("0", "a"), ("0", "b"), ("a", "m"), ("b", "m"),
               ("m", "c"), ("m", "d"), ("c", "1"), ("d", "1")]
-    from latshell import lattice_check, verify_chain_modularity
-    P = build_poset(elements, covers)
+    return build_poset(elements, covers)
+
+
+def test_every_other_rank_left_modular_chain_gives_full_vd():
+    # stacked diamonds: chain hitting every other rank, gap intervals of
+    # length two; the whole order complex decomposes
+    P = stacked_diamonds()
     L = lattice_check(P)
     m = verify_chain_modularity(L, ["0", "m", "1"])
     lab = left_modular_labeling(L, m)
@@ -296,6 +330,40 @@ def test_every_other_rank_left_modular_chain_gives_full_vd():
     validate_vd_certificate(cert, cx)
     assert is_vd_bruteforce(cx)
     assert verify_shelling(cx, shelling_from_vd(cert, cx))
+
+
+def _certifies(cx, cert):
+    return (validate_vd_certificate(cert, cx)
+            and verify_shelling(cx, shelling_from_vd(cert, cx)))
+
+
+def test_vd_over_every_left_modular_chain(b3, m3, n5, pi4, gl_s3, gl_a4):
+    """Not just the designated chains: every left-modular maximal chain,
+    and the chain of its every other element, certifies each skeleton up
+    to the bound and, barring long label runs, the whole order complex."""
+    lattices = [L for _, L, _ in (b3, m3, n5, pi4)]
+    lattices += [lattice_check(stacked_diamonds()),
+                 gl_s3.lattice, gl_a4.lattice]
+    skeleta = wholes = 0
+    for L in lattices:
+        P = L.poset
+        chains = {}
+        for chain in left_modular_maximal_chains(L):
+            c = chain.elements
+            every_other = c[::2] if len(c) % 2 else c[::2] + c[-1:]
+            chains.update(dict.fromkeys((c, every_other)))
+        for c in chains:
+            lab = left_modular_labeling(L, verify_chain_modularity(L, c))
+            bound, _ = min_chain_complexity(P, lab)
+            for r in range(1, bound + 1):
+                assert _certifies(*constructive_vd_skeleton(P, lab, r)), c
+                skeleta += 1
+            try:
+                assert _certifies(*constructive_vd_full(P, lab)), c
+                wholes += 1
+            except RepeatRunTooLong:
+                pass
+    assert (skeleta, wholes) == (125, 45)
 
 
 @st.composite

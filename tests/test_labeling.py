@@ -23,6 +23,7 @@ from latshell.errors import (
     IncompatiblePosets,
     NoAtomGenerates,
     NotMaximal,
+    SizeLimit,
 )
 from latshell.labeling import (
     AscentSpine,
@@ -290,6 +291,16 @@ def test_rooted_verification_matches_edge_case(n5, m3):
     bad = EdgeLabeling({("0", "a"): 1, ("a", "1"): 2,
                         ("0", "b"): 1, ("b", "1"): 2})
     assert not verify_quasi_cl(P, RootedLabeling.from_edge_labeling(bad)).ok
+
+
+def test_rooted_verification_refuses_large_posets(b3):
+    P, L, m = b3
+    rooted = RootedLabeling.from_edge_labeling(left_modular_labeling(L, m))
+    with pytest.raises(SizeLimit) as exc:
+        verify_quasi_cl(P, rooted, max_elements=7)
+    assert str(exc.value) == ("poset has 8 elements, more than the rooted "
+                              "element limit 7")
+    assert verify_quasi_cl(P, rooted, max_elements=8).ok
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=7))
