@@ -228,7 +228,10 @@ def test_join_skeleton_certificate():
     cert = join_skeleton_certificate(factors, 2)
     validate_vd_certificate(cert, joined)
 
+
+def test_join_full_certificate():
     # every level at its factor's dimension: the whole join
+    b = points("x", "y")
     edge = simplex_complex(("p", "q"))
     factors = [JoinFactor(edge, 1, VDLeaf()), _point_factor("x", "y")]
     joined = edge.join(b)
