@@ -84,6 +84,21 @@ def pi4_poset():
     return build_poset(names, covers)
 
 
+def divisor_poset(n: int):
+    """The divisors of n under divisibility, with the chain 1 < p1 < p1 p2
+    < ... < n that multiplies in the prime factors in increasing order."""
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    primes = [p for p in range(2, n + 1)
+              if n % p == 0 and all(p % q for q in range(2, p))]
+    covers = [(str(d), str(d * p)) for d in divs for p in primes
+              if n % (d * p) == 0]
+    chain = [1]
+    for p in primes:
+        while n % (chain[-1] * p) == 0:
+            chain.append(chain[-1] * p)
+    return build_poset([str(d) for d in divs], covers), [str(d) for d in chain]
+
+
 def left_modular_maximal_chains(L):
     """Maximal chains of the lattice that verify as left-modular."""
     from latshell import classify_modularity

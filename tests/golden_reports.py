@@ -54,6 +54,20 @@ def _lattices():
     }
 
 
+def _bench_lattices():
+    """The benchmark's small lattices with their designated chains: four
+    divisor lattices, and the subgroup lattices of D4 and C12 with their
+    chief series."""
+    import conftest
+    from latshell import groups as gm
+
+    out = {f"D({n})": conftest.divisor_poset(n) for n in (12, 24, 36, 60)}
+    for name, G in (("L(D4)", gm.dihedral(4)), ("L(C12)", gm.cyclic(12))):
+        GL = gm.subgroup_lattice(G)
+        out[name] = (GL.lattice.poset, list(GL.chief.elements))
+    return out
+
+
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_").lower()
 
@@ -144,11 +158,74 @@ def cases(workdir: str) -> list[tuple[str, list[str]]]:
     path = _write_json(workdir, "b2.constant.json",
                        {"edges": [{"from": x, "to": y, "label": 1}
                                   for x, y in b2.covers()]})
-    for flags in ([], ["--strict"]):
-        out.append((" ".join(["label verify"] + flags + ["b2 constant"]),
-                    ["label", "verify"] + flags
-                    + ["--poset", "b2.json", "--labeling", path]))
+    out.extend(_verify_cases("b2", "constant", path))
+    out.extend(_failing_labeling_cases(workdir))
+    for name, (P, chain) in _bench_lattices().items():
+        out.extend(_bench_lattice_cases(workdir, name, P, chain))
     return out
+
+
+def _verify_cases(name: str, tag: str, labeling: str) -> list:
+    """``label verify``, relaxed and ``--strict``, of one labeling file on
+    the poset file of the lattice ``name``."""
+    return [(" ".join(["label verify"] + flags + [name, tag]),
+             ["label", "verify"] + flags
+             + ["--poset", f"{name}.json", "--labeling", labeling])
+            for flags in ([], ["--strict"])]
+
+
+def _failing_labeling_cases(workdir: str) -> list:
+    """Labelings whose reports carry violation chains: the left-modular
+    labeling reversed (r + 1 - label), which fails on m3 (two spines), n5
+    (no ascending chain) and pi4 (two spines on 11 intervals) and still
+    passes on b3, and the diamond labeling (2, 3, 1, 0), whose one
+    ascending chain comes lexicographically last."""
+    from latshell import labeling as lb
+    from latshell import lattice as lm
+    from latshell.cli import labeling_json
+
+    out = []
+    lattices = _lattices()
+    for name in ("b3", "m3", "n5", "pi4"):
+        P, chain = lattices[name]
+        L = lm.lattice_check(P)
+        lab = lb.left_modular_labeling(L, lm.verify_chain_modularity(L, chain))
+        r = len(chain) - 1
+        path = _write_json(workdir, f"{name}.reversed.json", labeling_json(
+            lb.EdgeLabeling({c: r + 1 - l for c, l in lab.labels.items()})))
+        out.extend(_verify_cases(name, "reversed", path))
+    path = _write_json(workdir, "b2.lex.json", {"edges": [
+        {"from": x, "to": y, "label": l}
+        for (x, y), l in ((("0", "a"), 2), (("a", "1"), 3),
+                          (("0", "b"), 1), (("b", "1"), 0))]})
+    out.extend(_verify_cases("b2", "lex", path))
+    return out
+
+
+def _bench_lattice_cases(workdir: str, name: str, P, chain) -> list:
+    """``label verify`` (relaxed and strict), ``morse report`` and
+    ``complex depth`` on one of the benchmark's small lattices, with the
+    left-modular labeling of its chain."""
+    from latshell import labeling as lb
+    from latshell import lattice as lm
+    from latshell.cli import complex_json, labeling_json, poset_json
+    from latshell.poset import order_complex
+
+    slug = _slug(name)
+    poset = _write_json(workdir, f"{slug}.json", poset_json(P))
+    L = lm.lattice_check(P)
+    lab = lb.left_modular_labeling(L, lm.verify_chain_modularity(L, chain))
+    labeling = _write_json(workdir, f"{slug}.labeling.json", labeling_json(lab))
+    cx = _write_json(workdir, f"{slug}.complex.json",
+                     complex_json(order_complex(P)))
+    return [(" ".join(["label verify"] + flags + [name]),
+             ["label", "verify"] + flags
+             + ["--poset", poset, "--labeling", labeling])
+            for flags in ([], ["--strict"])] + [
+        (f"morse report {name}",
+         ["morse", "report", "--poset", poset, "--labeling", labeling]),
+        (f"complex depth {name}", ["complex", "depth", cx]),
+    ]
 
 
 def _untimed(text: str) -> str:
