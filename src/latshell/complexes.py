@@ -713,8 +713,8 @@ def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> 
     """
     from . import labeling as lb
 
-    chains = [tuple(P.elements[i] for i in c) for c in P.maximal_chains_idx()]
-    stats = {c: lb.stats_of_sequence(c, lab.sequence(c)) for c in chains}
+    chains = P.chains()
+    stats = {c: lab.stats(c) for c in chains}
     if all(stats[c].weakly_ascending for c in chains):
         raise AllChainsAscending("every maximal chain is weakly ascending")
     single = [c for c in chains if len(stats[c].descents) == 1]
@@ -727,10 +727,8 @@ def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> 
     x = stats[best].descents[0]
     xi = P.idx(x)
 
-    below = interval(P, P.elements[P.bottom], x)
-    for c in below.maximal_chains_idx():
-        names = tuple(below.elements[i] for i in c)
-        if not lb.stats_of_sequence(names, lab.sequence(names)).weakly_ascending:
+    for c in P.chains(P.bottom, xi):
+        if not lab.stats(c).weakly_ascending:
             raise InvalidCertificate(
                 f"chain below descent element {x!r} is not ascending")
 
@@ -791,8 +789,7 @@ def constructive_vd_skeleton(P: Poset, lab, target_r: int,
 def constructive_vd_full(P: Poset, lab, recheck_limit: int = 12):
     """Certificate for the full order complex, valid when no maximal chain
     repeats a label more than twice in a row."""
-    for c in P.maximal_chains_idx():
-        names = tuple(P.elements[i] for i in c)
+    for names in P.chains():
         seq = lab.sequence(names)
         for k in range(len(seq) - 2):
             if seq[k] == seq[k + 1] == seq[k + 2]:
@@ -873,18 +870,15 @@ def _split_factors(P: Poset, lab, x: str, t: int, recheck_limit: int):
     from . import labeling as lb
 
     bottom, top = P.elements[P.bottom], P.elements[P.top]
-    below = interval(P, bottom, x)
-    above = interval(P, x, top)
-    below_stats = [lb.stats_of_sequence(c2, lab.sequence(c2)) for c2 in
-                   (tuple(below.elements[i] for i in c)
-                    for c in below.maximal_chains_idx())]
-    pairs = {(st.ell0, st.ell1) for st in below_stats}
+    below = map(lab.stats, P.chains(P.bottom, P.idx(x)))
+    pairs = {(st.ell0, st.ell1) for st in below}
     if len(pairs) != 1:
         raise InvalidCertificate("lower interval has chain-dependent statistics")
     i, j = pairs.pop()
 
     factors = []
-    for sub, level in ((below, i + j - 2), (above, t - i - j)):
+    for sub, level in ((interval(P, bottom, x), i + j - 2),
+                       (interval(P, x, top), t - i - j)):
         cxf = order_complex(sub)
         if level >= 0:
             if level < cxf.dim and level + 2 > lb.min_chain_complexity(sub, lab)[0]:

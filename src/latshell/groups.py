@@ -26,8 +26,8 @@ from .errors import (
 from .lattice import (
     Lattice,
     ModularChain,
-    chains_of_complements,
     classify_modularity,
+    complement_refinements,
     lattice_check,
     verify_chain_modularity,
 )
@@ -602,16 +602,9 @@ def thevenaz_check(GL: GroupLattice, homology_limit: int = 200000) -> BouquetRep
     if not is_solvable(GL.group):
         raise NotSolvable("bouquet count applies to solvable groups only")
     L = GL.lattice
-    P = L.poset
     r = GL.chief.r
-    comp_chains = [set(c.elements) for c in chains_of_complements(L, GL.chief)]
-    refinements = set()
-    for c in P.maximal_chains_idx():
-        elems = tuple(P.elements[i] for i in c)
-        if any(cc <= set(elems) for cc in comp_chains):
-            refinements.add(elems)
-    count = len(refinements)
-    betti = betti_numbers(order_complex(P), limit=homology_limit)
+    count = len(complement_refinements(L, GL.chief))
+    betti = betti_numbers(order_complex(L.poset), limit=homology_limit)
     ok = all((v == count if k == r - 2 else v == 0) for k, v in betti.items())
     return BouquetReport(r=r, betti=betti,
                          complement_chain_refinements=count, ok=ok)

@@ -23,7 +23,7 @@ from .errors import (
     UnknownElement,
 )
 from .lattice import Lattice, ModularChain, verify_chain_modularity
-from .poset import Chain, Poset, bits, interval, maximal_chains
+from .poset import Chain, Poset, bits, maximal_chains
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,10 @@ class EdgeLabeling:
 
     def sequence(self, elements) -> tuple:
         return tuple(self.label(a, b) for a, b in zip(elements, elements[1:]))
+
+    def stats(self, elements: tuple) -> "ChainStats":
+        """Label statistics of a chain given as a tuple of names."""
+        return stats_of_sequence(elements, self.sequence(elements))
 
     def covers(self):
         return self.labels.keys()
@@ -165,7 +169,7 @@ def chain_stats(P: Poset, lab: EdgeLabeling, chain) -> ChainStats:
     """Label statistics for a maximal chain."""
     elems = tuple(chain.elements if isinstance(chain, Chain) else chain)
     _require_maximal(P, elems)
-    return stats_of_sequence(elems, lab.sequence(elems))
+    return lab.stats(elems)
 
 
 def stats_of_sequence(elems: tuple, labels: tuple) -> ChainStats:
@@ -214,7 +218,7 @@ def min_chain_complexity(P: Poset, lab: EdgeLabeling):
     best = None
     witness = None
     for c in maximal_chains(P):
-        st = stats_of_sequence(c.elements, lab.sequence(c.elements))
+        st = lab.stats(c.elements)
         if best is None or st.ell0 + st.ell1 < best:
             best = st.ell0 + st.ell1
             witness = c
@@ -240,29 +244,33 @@ def verify_quasi_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
     P.require_bounded()
     spines = {}
     violations = []
-    for xi in range(P.n):
-        for yi in bits(P.up[xi] & ~(1 << xi)):
-            x, y = P.elements[xi], P.elements[yi]
-            sub = interval(P, x, y)
-            out = _interval_spine(sub, lab)
-            if isinstance(out, Violation):
-                violations.append(out)
-            else:
-                spines[(x, y)] = out
+    for xi, yi in _intervals(P):
+        out = _interval_spine(P, xi, yi, lab)
+        if isinstance(out, Violation):
+            violations.append(out)
+        else:
+            spines[(out.x, out.y)] = out
     return QuasiELResult(not violations, spines, tuple(violations))
 
 
-def _interval_spine(sub: Poset, lab: EdgeLabeling):
-    """Spine of a single bounded interval, or a Violation.
+def _intervals(P: Poset):
+    """Every pair xi < yi of element indices: xi in input order, then the
+    strict up-set of xi in input order."""
+    for xi in range(P.n):
+        for yi in bits(P.up[xi] & ~(1 << xi)):
+            yield xi, yi
+
+
+def _interval_spine(P: Poset, lo: int, hi: int, lab: EdgeLabeling):
+    """Spine of the interval [lo, hi] of ``P`` (indices), or a Violation.
 
     Every valid spine is a bottom-to-top subchain of the common refinement
     of the weakly ascending maximal chains, so candidates are enumerated
     there, most merged first, and the first one whose gaps carry constant
     labels and whose extensions come strictly lexicographically first wins.
     """
-    x = sub.elements[sub.bottom]
-    y = sub.elements[sub.top]
-    chains = [tuple(sub.elements[i] for i in c) for c in sub.maximal_chains_idx()]
+    x, y = P.elements[lo], P.elements[hi]
+    chains = P.chains(lo, hi)
     seqs = {c: lab.sequence(c) for c in chains}
     ascending = [c for c in chains if _weakly_ascending(seqs[c])]
     if not ascending:
@@ -279,7 +287,7 @@ def _interval_spine(sub: Poset, lab: EdgeLabeling):
             spine = (finest[0],) + kept + (finest[-1],)
             gap_labels = []
             for u, v in zip(spine, spine[1:]):
-                labels = _labels_within(sub, lab, u, v)
+                labels = _labels_within(P, lab, P.index[u], P.index[v])
                 if len(labels) != 1:
                     gap_labels = None
                     break
@@ -311,14 +319,13 @@ def _weakly_ascending(seq) -> bool:
     return all(a <= b for a, b in zip(seq, seq[1:]))
 
 
-def _labels_within(sub: Poset, lab: EdgeLabeling, u: str, v: str) -> set:
-    """Labels of all covers inside the interval [u, v] of ``sub``."""
-    ui, vi = sub.idx(u), sub.idx(v)
-    members = sub.up[ui] & sub.down[vi]
+def _labels_within(P: Poset, lab: EdgeLabeling, lo: int, hi: int) -> set:
+    """Labels of all covers inside the interval [lo, hi] of ``P`` (indices)."""
+    members = P.up[lo] & P.down[hi]
     out = set()
     for i in bits(members):
-        for j in bits(sub.cover_up[i] & members):
-            out.add(lab.label(sub.elements[i], sub.elements[j]))
+        for j in bits(P.cover_up[i] & members):
+            out.add(lab.label(P.elements[i], P.elements[j]))
     return out
 
 
@@ -326,7 +333,7 @@ def interval_spine(P: Poset, lab: EdgeLabeling):
     """Spine of the full bottom-to-top interval of a bounded poset; returns
     an AscentSpine or a Violation."""
     P.require_bounded()
-    return _interval_spine(P, lab)
+    return _interval_spine(P, P.bottom, P.top, lab)
 
 
 def verify_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
@@ -335,23 +342,20 @@ def verify_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
     P.require_bounded()
     spines = {}
     violations = []
-    for xi in range(P.n):
-        for yi in bits(P.up[xi] & ~(1 << xi)):
-            x, y = P.elements[xi], P.elements[yi]
-            sub = interval(P, x, y)
-            chains = [tuple(sub.elements[i] for i in c)
-                      for c in sub.maximal_chains_idx()]
-            seqs = {c: lab.sequence(c) for c in chains}
-            ascending = [c for c in chains if _weakly_ascending(seqs[c])]
-            if len(ascending) != 1:
-                kind = "no_ascending_chain" if not ascending else "two_spines"
-                violations.append(Violation(kind, (x, y), tuple(ascending[:2])))
-                continue
-            a = ascending[0]
-            if any(seqs[c] <= seqs[a] for c in chains if c != a):
-                violations.append(Violation("lex_order", (x, y), (a,)))
-                continue
-            spines[(x, y)] = AscentSpine(x, y, a, lab.sequence(a))
+    for xi, yi in _intervals(P):
+        x, y = P.elements[xi], P.elements[yi]
+        chains = P.chains(xi, yi)
+        seqs = {c: lab.sequence(c) for c in chains}
+        ascending = [c for c in chains if _weakly_ascending(seqs[c])]
+        if len(ascending) != 1:
+            kind = "no_ascending_chain" if not ascending else "two_spines"
+            violations.append(Violation(kind, (x, y), tuple(ascending[:2])))
+            continue
+        a = ascending[0]
+        if any(seqs[c] <= seqs[a] for c in chains if c != a):
+            violations.append(Violation("lex_order", (x, y), (a,)))
+            continue
+        spines[(x, y)] = AscentSpine(x, y, a, lab.sequence(a))
     return QuasiELResult(not violations, spines, tuple(violations))
 
 
@@ -366,27 +370,21 @@ def verify_quasi_cl(P: Poset, rlab: RootedLabeling, max_elements: int = 40) -> Q
                         f"element limit {max_elements}")
     violations = []
     spines = {}
-    bottom = P.elements[P.bottom]
-    for xi in range(P.n):
-        x = P.elements[xi]
-        roots = ([tuple(c.elements) for c in maximal_chains(interval(P, bottom, x))]
-                 if xi != P.bottom else [(bottom,)])
-        for yi in bits(P.up[xi] & ~(1 << xi)):
-            y = P.elements[yi]
-            sub = interval(P, x, y)
-            for root in roots:
-                out = _rooted_interval_spine(sub, rlab, root)
-                if isinstance(out, Violation):
-                    violations.append(out)
-                else:
-                    spines[(root, x, y)] = out
+    roots = [P.chains(P.bottom, xi) for xi in range(P.n)]
+    for xi, yi in _intervals(P):
+        for root in roots[xi]:
+            out = _rooted_interval_spine(P, xi, yi, rlab, root)
+            if isinstance(out, Violation):
+                violations.append(out)
+            else:
+                spines[(root, out.x, out.y)] = out
     return QuasiELResult(not violations, spines, tuple(violations))
 
 
-def _rooted_interval_spine(sub: Poset, rlab: RootedLabeling, root: tuple):
-    x = sub.elements[sub.bottom]
-    y = sub.elements[sub.top]
-    chains = [tuple(sub.elements[i] for i in c) for c in sub.maximal_chains_idx()]
+def _rooted_interval_spine(P: Poset, lo: int, hi: int, rlab: RootedLabeling,
+                           root: tuple):
+    x, y = P.elements[lo], P.elements[hi]
+    chains = P.chains(lo, hi)
 
     def seq(c):
         out = []
@@ -442,13 +440,11 @@ def first_label_separation(P: Poset, lab: EdgeLabeling, pair=None):
     Checks the given interval, or all intervals, and returns violations.
     """
     P.require_bounded()
-    pairs = [pair] if pair is not None else [
-        (P.elements[xi], P.elements[yi])
-        for xi in range(P.n) for yi in bits(P.up[xi] & ~(1 << xi))]
+    pairs = _intervals(P) if pair is None else [P.pair_idx(*pair)]
     out = []
-    for x, y in pairs:
-        sub = interval(P, x, y)
-        chains = [tuple(sub.elements[i] for i in c) for c in sub.maximal_chains_idx()]
+    for xi, yi in pairs:
+        x, y = P.elements[xi], P.elements[yi]
+        chains = P.chains(xi, yi)
         ascending = [c for c in chains if _weakly_ascending(lab.sequence(c))]
         on_ascending = {c[1] for c in ascending if len(c) > 1}
         atoms = {c[1] for c in chains if len(c) > 1}

@@ -243,6 +243,14 @@ def chains_of_complements(L: Lattice, m: ModularChain) -> list[Chain]:
     return [Chain(t) for t in sorted(found, key=lambda t: tuple(P.idx(e) for e in t))]
 
 
+def complement_refinements(L: Lattice, m: ModularChain) -> set:
+    """The maximal chains, as name tuples, that contain a chain of
+    complements to the proper elements of ``m``."""
+    comp_chains = [set(c.elements) for c in chains_of_complements(L, m)]
+    return {c for c in L.poset.chains()
+            if any(cc <= set(c) for cc in comp_chains)}
+
+
 def is_distributive(L: Lattice) -> bool:
     return distributivity_witness(L) is None
 

@@ -11,12 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotMaximal, SizeLimit
-from .lattice import Lattice, ModularChain, chains_of_complements
-from .labeling import (
-    EdgeLabeling,
-    lamplus_sequence,
-    stats_of_sequence,
-)
+from .lattice import Lattice, ModularChain, complement_refinements
+from .labeling import ChainStats, EdgeLabeling, lamplus_sequence
 from .poset import Chain, Poset, order_complex
 
 
@@ -67,7 +63,7 @@ class MorseReport:
 
 
 def _ordered_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
-    chains = [tuple(P.elements[i] for i in c) for c in P.maximal_chains_idx()]
+    chains = P.chains()
     if len(chains) > limit:
         raise SizeLimit(f"poset has {len(chains)} maximal chains, more than "
                         f"the chain limit {limit}; raise it with --limit-chains")
@@ -108,8 +104,9 @@ def minimal_skipped_intervals(P: Poset, lab: EdgeLabeling, chain,
     return minimal
 
 
-def _chain_morse_data(P, lab, elems, ordered, limit) -> DescendingChainData:
-    st = stats_of_sequence(elems, lab.sequence(elems))
+def _chain_morse_data(P, lab, st: ChainStats, ordered,
+                      limit) -> DescendingChainData:
+    elems = st.chain
     msis = minimal_skipped_intervals(P, lab, elems, ordered, limit)
     len0 = [s for s in msis if s.length == 0 and not s.degenerate]
     deleted = {s.i for s in len0}
@@ -139,9 +136,9 @@ def weakly_descending_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
     ordered = _ordered_chains(P, lab, limit)
     out = []
     for elems in ordered:
-        st = stats_of_sequence(elems, lab.sequence(elems))
+        st = lab.stats(elems)
         if st.weakly_descending:
-            out.append(_chain_morse_data(P, lab, elems, ordered, limit))
+            out.append(_chain_morse_data(P, lab, st, ordered, limit))
     return out
 
 
@@ -151,7 +148,7 @@ def verify_skipped_interval_rules(P: Poset, lab: EdgeLabeling, limit: int = 2000
     ordered = _ordered_chains(P, lab, limit)
     violations = []
     for elems in ordered:
-        st = stats_of_sequence(elems, lab.sequence(elems))
+        st = lab.stats(elems)
         msis = minimal_skipped_intervals(P, lab, elems, ordered, limit)
         degenerate = any(s.degenerate for s in msis)
         pairs = {(s.i, s.j) for s in msis if not s.degenerate}
@@ -196,14 +193,8 @@ def descending_equals_complements(L: Lattice, m: ModularChain,
                                   limit: int = 20000) -> ComplementComparison:
     """For the left-modular labeling, weakly descending maximal chains are
     exactly the maximal refinements of chains of complements to the chain."""
-    P = L.poset
-    descending = {d.chain for d in weakly_descending_chains(P, lab, limit)}
-    comp_chains = [set(c.elements) for c in chains_of_complements(L, m)]
-    refinements = set()
-    for elems in (tuple(P.elements[i] for i in c) for c in P.maximal_chains_idx()):
-        body = set(elems)
-        if any(cc <= body for cc in comp_chains):
-            refinements.add(elems)
+    descending = {d.chain for d in weakly_descending_chains(L.poset, lab, limit)}
+    refinements = complement_refinements(L, m)
     return ComplementComparison(
         ok=descending == refinements,
         descending=tuple(sorted(descending)),

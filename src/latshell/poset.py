@@ -121,24 +121,44 @@ class Poset:
 
     # -- chain machinery --------------------------------------------------
 
-    def maximal_chains_idx(self) -> list[tuple[int, ...]]:
-        """All maximal bottom-top chains as index tuples, in DFS order."""
-        self.require_bounded()
+    def maximal_chains_idx(self, lo=None, hi=None) -> list[tuple[int, ...]]:
+        """All maximal chains of the interval [lo, hi] (default: bottom to
+        top) as index tuples, in DFS order.  The covers of P inside [lo, hi]
+        are those of the interval, so the walk up the cover rows within the
+        down-set of hi gives the chains of ``interval(P, lo, hi)`` in order.
+        """
+        if lo is None or hi is None:
+            self.require_bounded()
+        lo = self.bottom if lo is None else lo
+        hi = self.top if hi is None else hi
+        inside = self.down[hi]
         out: list[tuple[int, ...]] = []
-        top = self.top
-        stack = [self.bottom]
+        stack = [lo]
 
         def dfs(i):
-            if i == top:
+            if i == hi:
                 out.append(tuple(stack))
                 return
-            for j in bits(self.cover_up[i]):
+            for j in bits(self.cover_up[i] & inside):
                 stack.append(j)
                 dfs(j)
                 stack.pop()
 
-        dfs(self.bottom)
+        dfs(lo)
         return out
+
+    def chains(self, lo=None, hi=None) -> list[tuple[str, ...]]:
+        """The maximal chains of [lo, hi] (indices; default bottom to top)
+        as tuples of element names, in ``maximal_chains_idx`` order."""
+        name = self.elements.__getitem__
+        return [tuple(map(name, c)) for c in self.maximal_chains_idx(lo, hi)]
+
+    def pair_idx(self, x: str, y: str) -> tuple[int, int]:
+        """The indices of x and y, which must satisfy x <= y."""
+        i, j = self.idx(x), self.idx(y)
+        if not self.leq_idx(i, j):
+            raise NotComparable(f"{x!r} is not below {y!r}")
+        return i, j
 
     def min_max_chain_covers(self) -> tuple[int, int]:
         """(min, max) number of covers over all maximal chains, without
@@ -257,9 +277,7 @@ def build_poset(elements, covers) -> Poset:
 
 def interval(P: Poset, x: str, y: str) -> Poset:
     """The closed interval [x, y] as an induced subposet (bounded by x, y)."""
-    i, j = P.idx(x), P.idx(y)
-    if not P.leq_idx(i, j):
-        raise NotComparable(f"{x!r} is not below {y!r}")
+    i, j = P.pair_idx(x, y)
     members = P.up[i] & P.down[j]
     sub = [k for k in range(P.n) if (members >> k) & 1]
     pos = {k: t for t, k in enumerate(sub)}
@@ -277,8 +295,7 @@ def interval(P: Poset, x: str, y: str) -> Poset:
 
 def maximal_chains(P: Poset) -> list[Chain]:
     """All maximal bottom-top chains, in deterministic DFS order."""
-    return [Chain(tuple(P.elements[i] for i in c), maximal=True)
-            for c in P.maximal_chains_idx()]
+    return [Chain(c, maximal=True) for c in P.chains()]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from latshell import labeling as lb
 from latshell.errors import NotComparable, UnknownElement
+from latshell.poset import bits
 
 import labeling_oracles as oracle
 from test_lattice_oracles import random_poset
@@ -91,3 +92,10 @@ def test_separation_pair_errors(b2, pair, error):
         oracle.first_label_separation(P, lab, pair=pair)
     assert str(got.value) == str(expected.value)
 
+
+
+def test_pair_walk_visits_every_strict_pair(b3):
+    P = b3[0]
+    walked = list(lb._intervals(P))
+    assert walked == [(i, j) for i in range(P.n) for j in bits(P.up[i])
+                      if i != j]

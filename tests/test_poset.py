@@ -130,20 +130,23 @@ def test_order_complex_degenerate():
     assert order_complex(one).is_empty
 
 
-def test_interval_chains_are_chain_restrictions(b3, n5):
-    for P, _, _ in (b3, n5):
+def test_interval_chains_are_chain_restrictions(suite):
+    """The chains of [x, y] are the x..y segments of the maximal chains
+    through both, and the walk on the root poset lists them in the order
+    of the interval's own walk."""
+    for name, P, _, _ in suite:
+        segments = {}
+        for c in maximal_chains(P):
+            for i, j in itertools.combinations_with_replacement(range(len(c)), 2):
+                segments.setdefault((c.elements[i], c.elements[j]), set()).add(
+                    c.elements[i:j + 1])
         for x in P.elements:
             for y in P.elements:
                 if not P.leq(x, y):
                     continue
-                sub = interval(P, x, y)
-                got = {c.elements for c in maximal_chains(sub)}
-                expected = set()
-                for c in maximal_chains(P):
-                    if x in c.elements and y in c.elements:
-                        i, j = c.elements.index(x), c.elements.index(y)
-                        expected.add(c.elements[i:j + 1])
-                assert got == expected
+                got = [c.elements for c in maximal_chains(interval(P, x, y))]
+                assert set(got) == segments[(x, y)], (name, x, y)
+                assert P.chains(P.idx(x), P.idx(y)) == got, (name, x, y)
 
 
 def test_faces_extend_to_facets(b3):
