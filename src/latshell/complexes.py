@@ -782,8 +782,7 @@ def constructive_vd_skeleton(P: Poset, lab, target_r: int,
     bound, _ = lb.min_chain_complexity(P, lab)
     if target_r > bound:
         raise TargetTooLarge(f"target {target_r} exceeds the bound {bound}")
-    cx = order_complex(P).skeleton(target_r - 2)
-    return cx, _vd_rec(P, lab, target_r - 2, recheck_limit)
+    return _vd_rec(P, order_complex(P), lab, target_r - 2, recheck_limit)
 
 
 def constructive_vd_full(P: Poset, lab, recheck_limit: int = 12):
@@ -795,20 +794,20 @@ def constructive_vd_full(P: Poset, lab, recheck_limit: int = 12):
             if seq[k] == seq[k + 1] == seq[k + 2]:
                 raise RepeatRunTooLong(names, seq[k])
     cx = order_complex(P)
-    return cx, _vd_rec(P, lab, cx.dim, recheck_limit)
+    return cx, _vd_rec(P, cx, lab, cx.dim, recheck_limit)[1]
 
 
-def _vd_rec(P: Poset, lab, t: int, recheck_limit: int):
-    """Certificate for skel_t of the order complex of ``P``, t read as at
-    most its dimension.  Sheds the descent element x of the lexicographically
-    greatest single-descent chain; the link of x is the join of the order
-    complexes of [0, x] and [x, 1].  With every chain weakly ascending the
-    complex is the join of ``_base_case_factors``."""
-    full = order_complex(P)
+def _vd_rec(P: Poset, full: SimplicialComplex, lab, t: int, recheck_limit: int):
+    """skel_t of ``full``, the order complex of ``P``, with t read as at
+    most its dimension, and a certificate for it.  Sheds the descent element
+    x of the lexicographically greatest single-descent chain; the link of x
+    is the join of the order complexes of [0, x] and [x, 1].  With every
+    chain weakly ascending the complex is the join of
+    ``_base_case_factors``."""
     t = min(t, full.dim)
     cx = full.skeleton(t)
     if len(cx.facets) <= 1:
-        return VDLeaf()
+        return cx, VDLeaf()
     try:
         pick = lex_greatest_single_descent_chain(P, lab, recheck_limit)
     except AllChainsAscending:
@@ -819,15 +818,16 @@ def _vd_rec(P: Poset, lab, t: int, recheck_limit: int):
             joined = joined.join(f.complex)
         if joined.skeleton(t) != cx:
             raise InvalidCertificate("base case join does not match the skeleton")
-        return cert
+        return cx, cert
 
     x = pick.element
-    deletion = _vd_rec(_delete_element(P, x), lab, t, recheck_limit)
+    rest = _delete_element(P, x)
+    _, deletion = _vd_rec(rest, order_complex(rest), lab, t, recheck_limit)
     link_factors, link_cx = _split_factors(P, lab, x, t, recheck_limit)
     if link_cx != cx.link_of((x,)):
         raise InvalidCertificate("link join does not match the complex link")
     link_cert = join_skeleton_certificate(link_factors, t - 1)
-    return VDNode(x, deletion, link_cert)
+    return cx, VDNode(x, deletion, link_cert)
 
 
 def _base_case_factors(P: Poset, lab, t: int):
@@ -884,7 +884,7 @@ def _split_factors(P: Poset, lab, x: str, t: int, recheck_limit: int):
             if level < cxf.dim and level + 2 > lb.min_chain_complexity(sub, lab)[0]:
                 raise InvalidCertificate("interval target exceeds its bound")
             factors.append(JoinFactor(cxf, level,
-                                      _vd_rec(sub, lab, level, recheck_limit)))
+                                      _vd_rec(sub, cxf, lab, level, recheck_limit)[1]))
         else:
             factors.append(JoinFactor(cxf, -1, VDLeaf()))
     joined = factors[0].complex.join(factors[1].complex).skeleton(t - 1)

@@ -40,6 +40,13 @@ Perm = tuple
 # --limit-order default); S6 has order 720.
 ORDER_LIMIT = 720
 
+# Subgroup count above which the join self-check samples the pairs.
+JOIN_CHECK_LIMIT = 60
+# Order-complex face count above which no exact depth is reported.
+EXACT_DEPTH_FACE_LIMIT = 4000
+# Skeleton facet count above which no brute-force shelling search runs.
+FACET_BRUTEFORCE_LIMIT = 12
+
 
 def _mul(p: Perm, q: Perm) -> Perm:
     return tuple(map(p.__getitem__, q))
@@ -351,15 +358,14 @@ class GroupLattice:
         return self.subgroup_sets[self.names.index(name)]
 
 
-def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT,
-                     join_check_limit: int = 60) -> GroupLattice:
+def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLattice:
     """Build the subgroup lattice, verify the meet/join identities, flag
     normal subgroups, and fix a deterministic chief series.
 
     Subgroups are held as sets and masks of ``G.table()`` indices.  Meets
     are checked against intersections for all pairs; joins against the
     closure of the two subgroups' indices for all pairs up to
-    ``join_check_limit`` subgroups, and on a deterministic sample beyond
+    ``JOIN_CHECK_LIMIT`` subgroups, and on a deterministic sample beyond
     that.  Every normal subgroup must classify as two-sided modular, and
     the chief series check reuses those reports.
     """
@@ -391,7 +397,7 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT,
             raise SelfCheckFailed("meet", f"meet of {names[i]} and {names[j]} "
                                           "disagrees with intersection")
     pairs = itertools.combinations(range(n), 2)
-    if n > join_check_limit:
+    if n > JOIN_CHECK_LIMIT:
         pairs = itertools.islice(pairs, 0, None, 97)
     table, e = G.table(), G.index(G.identity)
     for i, j in pairs:
@@ -458,7 +464,7 @@ class DepthReport:
     agree: bool
 
 
-def solvability_by_depth(GL: GroupLattice, exact_depth_face_limit: int = 4000,
+def solvability_by_depth(GL: GroupLattice,
                          homology_limit: int = 200000) -> DepthReport:
     """Decide solvability by whether the depth of the order complex stays
     at its guaranteed floor of r - 2 or climbs to r - 1."""
@@ -466,17 +472,16 @@ def solvability_by_depth(GL: GroupLattice, exact_depth_face_limit: int = 4000,
     from .complexes import is_cohen_macaulay
 
     r = GL.chief.r
-    cx = order_complex(GL.lattice.poset)
-    dim = cx.dim if not cx.is_void else -1
-    if dim is None:
-        dim = -1
+    P = GL.lattice.poset
+    cx = order_complex(P)
+    dim = cx.dim
     check = r - 1
     depth_exact = None
-    try:
-        cx.faces_by_dim(limit=exact_depth_face_limit)
-        depth_exact = complex_depth(cx, limit=homology_limit)
-    except SizeLimit:
-        depth_exact = None
+    if P.proper_chain_count() <= EXACT_DEPTH_FACE_LIMIT:
+        try:
+            depth_exact = complex_depth(cx, limit=homology_limit)
+        except SizeLimit:
+            pass
     if r == 0:
         # the trivial group: the face of dimension r - 1 = -1 in its order
         # complex comes from a chain with no cover, not r + 1 = 1 covers,
@@ -517,8 +522,7 @@ class ShellabilityReport:
     agree: bool
 
 
-def skeleton_shellability_criterion(GL: GroupLattice,
-                                    facet_bruteforce_limit: int = 12) -> ShellabilityReport:
+def skeleton_shellability_criterion(GL: GroupLattice) -> ShellabilityReport:
     """Nonsolvable exactly when the (r-1)-skeleton of the order complex is
     pure of dimension r-1 and shellable."""
     from . import labeling as lb
@@ -547,8 +551,8 @@ def skeleton_shellability_criterion(GL: GroupLattice,
                 skel, cert = constructive_vd_skeleton(P, lab, r + 1)
                 shellable = verify_shelling(skel, shelling_from_vd(cert, skel))
                 method = "constructive"
-            elif len(order_complex(P).skeleton(r - 1).facets) <= facet_bruteforce_limit:
-                shellable = _bruteforce_shellable(order_complex(P).skeleton(r - 1))
+            elif len(cx.facets) <= FACET_BRUTEFORCE_LIMIT:
+                shellable = _bruteforce_shellable(cx)
                 method = "bruteforce"
             else:
                 raise ShellabilityUndecided(

@@ -22,7 +22,7 @@ from .errors import (
     SizeLimit,
     UnknownElement,
 )
-from .lattice import Lattice, ModularChain, verify_chain_modularity
+from .lattice import Lattice, ModularChain
 from .poset import Chain, Poset, bits, maximal_chains
 
 

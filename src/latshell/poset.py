@@ -173,6 +173,19 @@ class Poset:
                 hi[i] = 1 + max(hi[j] for j in succ)
         return lo[self.bottom], hi[self.bottom]
 
+    def proper_chain_count(self) -> int:
+        """Number of chains of the proper part, the empty one included: the
+        face count of the order complex, without building a face.  above[i]
+        counts the chains that start at i and go on in the strict up-set of
+        i less the top, so above[bottom] is the count."""
+        self.require_bounded()
+        above = [1] * self.n
+        inner = ~(1 << self.top)
+        for i in reversed(self._topo()):
+            above[i] = 1 + sum(map(above.__getitem__,
+                                   bits(self.up[i] & inner & ~(1 << i))))
+        return above[self.bottom]
+
     def _topo(self) -> list[int]:
         indeg = [self.cover_down[i].bit_count() for i in range(self.n)]
         order = [i for i in range(self.n) if indeg[i] == 0]

@@ -334,3 +334,13 @@ def test_acyclic_solvable_groups_are_globally_trivial():
         betti = betti_numbers(order_complex(GL.lattice.poset))
         if all(betti.get(i, 0) == 0 for i in range(-1, GL.r - 1)):
             assert all(v == 0 for v in betti.values())
+
+
+def test_exact_depth_gate_counts_faces(gl_s4, monkeypatch):
+    """The exact depth is reported up to the face limit and not beyond it;
+    L(S4)'s order complex has 116 faces."""
+    monkeypatch.setattr(gm, "EXACT_DEPTH_FACE_LIMIT", 116)
+    assert gm.solvability_by_depth(gl_s4).depth_exact == gl_s4.r - 2
+    monkeypatch.setattr(gm, "EXACT_DEPTH_FACE_LIMIT", 115)
+    rep = gm.solvability_by_depth(gl_s4)
+    assert rep.depth_exact is None and rep.verdict == "solvable"

@@ -149,6 +149,16 @@ def test_interval_chains_are_chain_restrictions(suite):
                 assert P.chains(P.idx(x), P.idx(y)) == got, (name, x, y)
 
 
+def test_proper_chain_count_is_the_face_count(suite):
+    posets = {name: P for name, P, _, _ in suite}
+    posets["two"] = build_poset(["0", "1"], [("0", "1")])
+    posets["one"] = build_poset(["x"], [])
+    for name, P in posets.items():
+        assert P.proper_chain_count() == len(order_complex(P).faces()), name
+    assert posets["L(S4)"].proper_chain_count() == 116
+    assert posets["two"].proper_chain_count() == posets["one"].proper_chain_count() == 1
+
+
 def test_faces_extend_to_facets(b3):
     cx = order_complex(b3[0])
     facets = cx.facet_name_sets()
@@ -205,6 +215,7 @@ def test_random_posets_roundtrip_and_invariants(data):
     chains = maximal_chains(P)
     proper = {c.elements[1:-1] for c in chains}
     assert facets == frozenset(frozenset(p) for p in proper)
+    assert P.proper_chain_count() == len(cx.faces())
     lo, hi = P.min_max_chain_covers()
     lengths = [c.length for c in chains]
     assert lo == min(lengths) and hi == max(lengths)
