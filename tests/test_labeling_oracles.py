@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from latshell import labeling as lb
 from latshell.errors import NotComparable, UnknownElement
-from latshell.poset import bits
 
 import labeling_oracles as oracle
 from test_lattice_oracles import random_poset
@@ -56,14 +55,6 @@ def test_verifiers_match_interval_oracles(rng):
             == _outcome(oracle.first_label_separation, P, lab, pair=pair))
 
 
-def test_interval_spine_matches_oracle_on_whole_poset():
-    rng = random.Random(11)
-    for _ in range(60):
-        P = random_poset(rng)
-        lab = random_labeling(rng, P)
-        assert lb.interval_spine(P, lab) == oracle._interval_spine(P, lab)
-
-
 def test_random_labelings_reach_every_outcome():
     """The random inputs above are not vacuous: over a fixed sample, both
     verdicts and every violation kind occur, relaxed and strict."""
@@ -93,9 +84,3 @@ def test_separation_pair_errors(b2, pair, error):
     assert str(got.value) == str(expected.value)
 
 
-
-def test_pair_walk_visits_every_strict_pair(b3):
-    P = b3[0]
-    walked = list(lb._intervals(P))
-    assert walked == [(i, j) for i in range(P.n) for j in bits(P.up[i])
-                      if i != j]
