@@ -159,6 +159,14 @@ def cases(workdir: str) -> list[tuple[str, list[str]]]:
                        {"edges": [{"from": x, "to": y, "label": 1}
                                   for x, y in b2.covers()]})
     out.extend(_verify_cases("b2", "constant", path))
+    # a chain listed with five redundant covers: the report names the
+    # first of them in input order, (0, b)
+    path = _write_json(workdir, "chain5.redundant.json", {
+        "elements": ["0", "a", "b", "c", "1"],
+        "covers": [["0", "a"], ["a", "b"], ["b", "c"], ["c", "1"],
+                   ["0", "b"], ["a", "c"], ["b", "1"], ["0", "c"],
+                   ["a", "1"]]})
+    out.append(("poset check chain5 redundant", ["poset", "check", path]))
     out.extend(_failing_labeling_cases(workdir))
     for name, (P, chain) in _bench_lattices().items():
         out.extend(_bench_lattice_cases(workdir, name, P, chain))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latshell import (
     connectivity_lower_bound,
@@ -9,12 +11,45 @@ from latshell import (
     verify_skipped_interval_rules,
     weakly_descending_chains,
 )
-from latshell.errors import SizeLimit
+from latshell.errors import NotMaximal, SizeLimit
 from latshell.labeling import EdgeLabeling
 from latshell.morse import _ordered_chains
 
+import morse_oracles as oracle
 from conftest import b2_poset
 from test_labeling import std_el_labeling
+from test_labeling_oracles import random_labeling
+from test_lattice_oracles import random_poset
+
+
+def _all_msis_match_oracle(P, lab):
+    ordered = oracle._ordered_chains(P, lab)
+    for chain in ordered:
+        assert (minimal_skipped_intervals(P, lab, chain)
+                == oracle.minimal_skipped_intervals(P, lab, chain, ordered)), chain
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_msis_match_the_brute_force(rng):
+    P = random_poset(rng)
+    _all_msis_match_oracle(P, random_labeling(rng, P))
+
+
+def test_msis_match_the_brute_force_on_ls4(gl_s4):
+    # L(S4) is not graded: its maximal chains have lengths 3 and 4
+    L = gl_s4.lattice
+    _all_msis_match_oracle(L.poset, left_modular_labeling(L, gl_s4.chief))
+
+
+@pytest.mark.parametrize("chain", [("0", "c", "b", "1"), ("0", "b", "1"),
+                                   ("0", "x", "1")])
+def test_msis_refuse_what_is_not_a_maximal_chain(n5, chain):
+    # a non-chain, a chain that is not maximal, an unknown name
+    P, L, m = n5
+    with pytest.raises(NotMaximal) as info:
+        minimal_skipped_intervals(P, left_modular_labeling(L, m), chain)
+    assert str(info.value) == f"{chain!r} is not a maximal chain"
 
 
 def test_lex_first_chain_is_degenerate(n5):
