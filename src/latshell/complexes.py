@@ -42,8 +42,7 @@ from .errors import (
     VertexClash,
     VoidComplex,
 )
-from .poset import (Chain, Poset, bits, build_poset, induced_covers, interval,
-                    order_complex)
+from .poset import Chain, Poset, bits, interval, order_complex
 
 
 class SimplicialComplex:
@@ -754,18 +753,13 @@ def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> 
 
 
 def _delete_element(P: Poset, x: str) -> Poset:
-    members = [e for e in P.elements if e != x]
-    mask = ((1 << P.n) - 1) & ~(1 << P.idx(x))
-    rows = induced_covers(P.up, mask)
-    covers = []
-    for i in bits(mask):
-        for j in bits(rows[i]):
-            if not (P.cover_up[i] >> j) & 1:
-                raise InvalidCertificate(
-                    f"removing {x!r} created the new cover "
-                    f"({P.elements[i]!r}, {P.elements[j]!r})")
-            covers.append((P.elements[i], P.elements[j]))
-    return build_poset(members, covers)
+    """P less x, refused when a cover of it is not a cover of P."""
+    rest = P.restrict(((1 << P.n) - 1) & ~(1 << P.idx(x)))
+    for a, b in rest.covers():
+        if not P.cover_up[P.index[a]] >> P.index[b] & 1:
+            raise InvalidCertificate(
+                f"removing {x!r} created the new cover ({a!r}, {b!r})")
+    return rest
 
 
 def constructive_vd_skeleton(P: Poset, lab, target_r: int,

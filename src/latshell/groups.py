@@ -31,7 +31,7 @@ from .lattice import (
     lattice_check,
     verify_chain_modularity,
 )
-from .poset import Poset, bits, induced_covers, order_complex
+from .poset import bits, from_up, induced_covers, order_complex
 
 
 Perm = tuple
@@ -388,7 +388,7 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLatti
         for k in m:
             row &= containing[k]
         up.append(row)
-    P = Poset(names, up, induced_covers(up), 0, n - 1)
+    P = from_up(names, up)
     L = lattice_check(P)
 
     meet, join = L._meet, L._join

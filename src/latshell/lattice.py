@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotAChain, NotALattice, NotLeftModular
-from .poset import Chain, Poset, bits, build_poset, induced_covers
+from .poset import Chain, Poset, bits
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,4 @@ def generated_sublattice(L: Lattice, seed) -> Lattice:
         if new <= current:
             break
         current |= new
-    members = sorted(current)
-    rows = induced_covers(P.up, sum(1 << i for i in members))
-    covers = [(L.elements[i], L.elements[j]) for i in members for j in bits(rows[i])]
-    return lattice_check(build_poset([L.elements[i] for i in members], covers))
+    return lattice_check(P.restrict(sum(1 << i for i in current)))

@@ -2,18 +2,22 @@
 descending-chain census, and homological consistency checks.
 
 Chains are ordered by their tie-broken label sequences; the tie-break is
-the element input order, making the order total.  Skipped intervals are
-computed by brute force against all lexicographically earlier chains.
+the element input order, making the order total.  Whether a segment of a
+chain is skipped depends on one interval only: it is, unless the chain
+runs through the lexicographically first maximal chain of the interval
+from the element below the segment to the element above it, and that
+first chain is found greedily.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import NotMaximal, SizeLimit
 from .lattice import Lattice, ModularChain, complement_refinements
 from .labeling import ChainStats, EdgeLabeling, lamplus_sequence
-from .poset import Chain, Poset, order_complex
+from .poset import Chain, Poset, bits, order_complex
 
 
 @dataclass(frozen=True)
@@ -63,51 +67,84 @@ class MorseReport:
 
 
 def _ordered_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
-    chains = P.chains()
-    if len(chains) > limit:
-        raise SizeLimit(f"poset has {len(chains)} maximal chains, more than "
+    count = P.maximal_chain_count()
+    if count > limit:
+        raise SizeLimit(f"poset has {count} maximal chains, more than "
                         f"the chain limit {limit}; raise it with --limit-chains")
+    chains = P.chains()
     chains.sort(key=lambda c: lamplus_sequence(P, lab, c))
     return chains
 
 
-def minimal_skipped_intervals(P: Poset, lab: EdgeLabeling, chain,
-                              ordered=None, limit: int = 20000):
+def _first_step(P: Poset, lab: EdgeLabeling):
+    """``step(a, hi)``: the least (label, index) cover z of a with z <= hi,
+    the first step of the lexicographically first maximal chain of
+    [a, hi].  Every such z extends to hi, so that chain is greedy.
+    Memoised per (a, hi)."""
+    names = P.elements
+
+    @functools.cache
+    def step(a, hi):
+        return min(bits(P.cover_up[a] & P.down[hi]),
+                   key=lambda z: (lab.label(names[a], names[z]), z))
+
+    return step
+
+
+def minimal_skipped_intervals(P: Poset, lab: EdgeLabeling, chain):
     """Inclusion-minimal skipped intervals of one maximal chain.
 
     A pair (i, j) is skipped when the chain minus its segment [c_i, c_j]
     sits inside a lexicographically earlier maximal chain; the first chain
     degenerately skips its whole span.
     """
+    return _minimal_skipped(P, chain, _first_step(P, lab))
+
+
+def _minimal_skipped(P: Poset, chain, step):
+    """``minimal_skipped_intervals`` with the greedy steps of
+    ``_first_step``.
+
+    The test is local to one interval.  Let lo = max(i - 1, 0) and
+    hi = min(j + 1, l).  An earlier chain c' that contains c less
+    c_i ... c_j contains c_0 ... c_lo and c_hi ... c_l, both saturated, so
+    c' shares c's prefix up to c_lo and its suffix from c_hi, and c' is
+    earlier iff its segment is.  Hence (i, j) is skipped iff c_lo ... c_hi
+    is not the first maximal chain of [c_lo, c_hi], and c is the first
+    chain of P iff it is the first of [c_0, c_l].  Skipping is monotone
+    (a larger segment leaves a smaller rest), so (i, j) is minimal iff
+    neither (i + 1, j) nor (i, j - 1) is skipped.
+    """
     elems = tuple(chain.elements if isinstance(chain, Chain) else chain)
-    if ordered is None:
-        ordered = _ordered_chains(P, lab, limit)
-    try:
-        pos = ordered.index(elems)
-    except ValueError:
-        raise NotMaximal(f"{elems!r} is not a maximal chain") from None
-    ell = len(elems) - 1
-    if pos == 0:
+    P.require_bounded()
+    c = [P.index.get(e) for e in elems]
+    if (not c or None in c or c[0] != P.bottom or c[-1] != P.top
+            or any(not P.cover_up[a] >> b & 1 for a, b in zip(c, c[1:]))):
+        raise NotMaximal(f"{elems!r} is not a maximal chain")
+    ell = len(c) - 1
+    # first[hi]: the least lo whose segment c_lo ... c_hi is the first
+    # maximal chain of [c_lo, c_hi]; every larger lo gives a first one too
+    first = []
+    for hi in range(ell + 1):
+        lo = hi
+        while lo and step(c[lo - 1], c[hi]) == c[lo]:
+            lo -= 1
+        first.append(lo)
+    if first[ell] == 0:
         return [SkippedInterval(elems, 0, ell, degenerate=True)]
-    earlier = [frozenset(c) for c in ordered[:pos]]
-    full = frozenset(elems)
-    skipped = []
-    for i in range(ell + 1):
-        for j in range(i, ell + 1):
-            rest = full - frozenset(elems[i:j + 1])
-            if any(rest <= e for e in earlier):
-                skipped.append((i, j))
-    minimal = [SkippedInterval(elems, i, j) for (i, j) in skipped
-               if not any((i2, j2) != (i, j) and i <= i2 and j2 <= j
-                          for (i2, j2) in skipped)]
-    minimal.sort(key=lambda s: (s.i, s.j))
-    return minimal
+
+    def skipped(i, j):
+        return max(i - 1, 0) < first[min(j + 1, ell)]
+
+    return [SkippedInterval(elems, i, j)
+            for i in range(ell + 1) for j in range(i, ell + 1)
+            if skipped(i, j) and (i == j or not (skipped(i + 1, j)
+                                                 or skipped(i, j - 1)))]
 
 
-def _chain_morse_data(P, lab, st: ChainStats, ordered,
-                      limit) -> DescendingChainData:
+def _chain_morse_data(P, st: ChainStats, step) -> DescendingChainData:
     elems = st.chain
-    msis = minimal_skipped_intervals(P, lab, elems, ordered, limit)
+    msis = _minimal_skipped(P, elems, step)
     len0 = [s for s in msis if s.length == 0 and not s.degenerate]
     deleted = {s.i for s in len0}
     components = 0
@@ -133,23 +170,23 @@ def _chain_morse_data(P, lab, st: ChainStats, ordered,
 def weakly_descending_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
     """All maximal chains without a strict ascent, annotated with their
     critical-cell dimension lower bound."""
-    ordered = _ordered_chains(P, lab, limit)
+    step = _first_step(P, lab)
     out = []
-    for elems in ordered:
+    for elems in _ordered_chains(P, lab, limit):
         st = lab.stats(elems)
         if st.weakly_descending:
-            out.append(_chain_morse_data(P, lab, st, ordered, limit))
+            out.append(_chain_morse_data(P, st, step))
     return out
 
 
 def verify_skipped_interval_rules(P: Poset, lab: EdgeLabeling, limit: int = 20000):
     """Strict descents are length-0 skipped intervals; strict ascents avoid
     all of them away from the first chain.  Returns violations."""
-    ordered = _ordered_chains(P, lab, limit)
+    step = _first_step(P, lab)
     violations = []
-    for elems in ordered:
+    for elems in _ordered_chains(P, lab, limit):
         st = lab.stats(elems)
-        msis = minimal_skipped_intervals(P, lab, elems, ordered, limit)
+        msis = _minimal_skipped(P, elems, step)
         degenerate = any(s.degenerate for s in msis)
         pairs = {(s.i, s.j) for s in msis if not s.degenerate}
         for name in st.descents:
@@ -217,7 +254,6 @@ def homology_consistency(P: Poset, lab: EdgeLabeling,
     census = {}
     for d in data:
         census[d.dimension_bound] = census.get(d.dimension_bound, 0) + 1
-    ok = True
     if bound is None:
         ok = all(v == 0 for v in betti.values())
     else:

@@ -10,6 +10,8 @@ so all outputs are deterministic.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -105,6 +107,14 @@ class Poset:
         """Number of ordered pairs (x, y) with x <= y."""
         return sum(row.bit_count() for row in self.up)
 
+    def restrict(self, mask: int) -> "Poset":
+        """The subposet induced on the index mask ``mask``, its elements in
+        P's order, read off P's up-set rows."""
+        sub = list(bits(mask))
+        pos = {k: t for t, k in enumerate(sub)}
+        up = [sum(1 << pos[j] for j in bits(self.up[k] & mask)) for k in sub]
+        return from_up([self.elements[k] for k in sub], up)
+
     def dual(self) -> "Poset":
         """The order dual (all relations reversed)."""
         return Poset(self.elements, self.down, self.cover_down, self.top, self.bottom)
@@ -173,6 +183,16 @@ class Poset:
                 hi[i] = 1 + max(hi[j] for j in succ)
         return lo[self.bottom], hi[self.bottom]
 
+    def maximal_chain_count(self) -> int:
+        """Number of maximal chains, without enumerating them: ways[i]
+        counts the saturated chains from i up to the top."""
+        self.require_bounded()
+        ways = [0] * self.n
+        ways[self.top] = 1
+        for i in reversed(self._topo()):
+            ways[i] += sum(map(ways.__getitem__, bits(self.cover_up[i])))
+        return ways[self.bottom]
+
     def proper_chain_count(self) -> int:
         """Number of chains of the proper part, the empty one included: the
         face count of the order complex, without building a face.  above[i]
@@ -187,14 +207,24 @@ class Poset:
         return above[self.bottom]
 
     def _topo(self) -> list[int]:
-        indeg = [self.cover_down[i].bit_count() for i in range(self.n)]
-        order = [i for i in range(self.n) if indeg[i] == 0]
-        for i in order:
-            for j in bits(self.cover_up[i]):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    order.append(j)
-        return order
+        return _kahn(self.cover_up)[0]
+
+
+def _kahn(rows) -> tuple[list[int], list[int]]:
+    """Kahn's topological order of the relation with successor rows
+    ``rows``, and the in-degrees left: every index missing from the order
+    has a positive one, as it lies on or above a cycle."""
+    indeg = [0] * len(rows)
+    for row in rows:
+        for j in bits(row):
+            indeg[j] += 1
+    order = [i for i, d in enumerate(indeg) if d == 0]
+    for i in order:
+        for j in bits(rows[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
+    return order, indeg
 
 
 def induced_covers(up, members: int | None = None) -> list[int]:
@@ -221,6 +251,18 @@ def induced_covers(up, members: int | None = None) -> list[int]:
     return rows
 
 
+def from_up(elements, up) -> Poset:
+    """The poset on ``elements`` with up-set rows ``up`` (``up[i]`` includes
+    i): cover rows by ``induced_covers``, the bottom (below everything) and
+    the top (in every up-set), each None when there is none."""
+    full = (1 << len(up)) - 1
+    above_all = functools.reduce(operator.and_, up, full)
+    # antisymmetry leaves at most one of each
+    bottom = next((i for i, row in enumerate(up) if row == full), None)
+    top = above_all.bit_length() - 1 if above_all else None
+    return Poset(elements, up, induced_covers(up), bottom, top)
+
+
 def build_poset(elements, covers) -> Poset:
     """Build a poset from element ids and cover pairs.
 
@@ -238,7 +280,7 @@ def build_poset(elements, covers) -> Poset:
     n = len(elements)
 
     adj = [0] * n
-    seen_pairs = set()
+    seen_pairs = {}  # a dict, so that a redundant cover is named in input order
     for x, y in covers:
         if x not in index:
             raise UnknownElement(repr(x))
@@ -248,20 +290,11 @@ def build_poset(elements, covers) -> Poset:
             raise CycleDetected(f"self-cover on {x!r}")
         if (x, y) in seen_pairs:
             raise RedundantCover(x, y, reason="is listed twice")
-        seen_pairs.add((x, y))
+        seen_pairs[(x, y)] = None
         adj[index[x]] |= 1 << index[y]
 
     # Kahn toposort doubles as the cycle check.
-    indeg = [0] * n
-    for i in range(n):
-        for j in bits(adj[i]):
-            indeg[j] += 1
-    order = [i for i in range(n) if indeg[i] == 0]
-    for i in order:
-        for j in bits(adj[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
+    order, indeg = _kahn(adj)
     if len(order) != n:
         stuck = [elements[i] for i in range(n) if indeg[i] > 0]
         raise CycleDetected(f"cover relation has a cycle through {stuck}")
@@ -273,37 +306,17 @@ def build_poset(elements, covers) -> Poset:
             mask |= up[j]
         up[i] = mask
 
-    cover_up = induced_covers(up)
-
+    P = from_up(elements, up)
     for x, y in seen_pairs:
-        if not (cover_up[index[x]] >> index[y]) & 1:
+        if not (P.cover_up[index[x]] >> index[y]) & 1:
             raise RedundantCover(x, y)
-
-    # bottom: unique element below everything; top: unique element above all.
-    down = Poset._transpose(up, n)
-    bottoms = [i for i in range(n) if up[i].bit_count() == n]
-    tops = [i for i in range(n) if down[i].bit_count() == n]
-    bottom = bottoms[0] if len(bottoms) == 1 else None
-    top = tops[0] if len(tops) == 1 else None
-    return Poset(elements, up, cover_up, bottom, top)
+    return P
 
 
 def interval(P: Poset, x: str, y: str) -> Poset:
     """The closed interval [x, y] as an induced subposet (bounded by x, y)."""
     i, j = P.pair_idx(x, y)
-    members = P.up[i] & P.down[j]
-    sub = [k for k in range(P.n) if (members >> k) & 1]
-    pos = {k: t for t, k in enumerate(sub)}
-    m = len(sub)
-    up = [0] * m
-    cov = [0] * m
-    for t, k in enumerate(sub):
-        for j2 in bits(P.up[k] & members):
-            up[t] |= 1 << pos[j2]
-        # covers of P inside [x, y] are exactly the covers of the interval
-        for j2 in bits(P.cover_up[k] & members):
-            cov[t] |= 1 << pos[j2]
-    return Poset([P.elements[k] for k in sub], up, cov, pos[i], pos[j])
+    return P.restrict(P.up[i] & P.down[j])
 
 
 def maximal_chains(P: Poset) -> list[Chain]:

@@ -11,8 +11,10 @@ drops non-maximal faces.  The cover loops are the four transitive
 reductions the library had before ``poset.induced_covers``: the
 containment loop of ``subgroup_lattice``, the canonical covers of
 ``build_poset``, ``lattice._covers_of_restriction`` and
-``complexes._delete_element``.  They are kept as they were, so they share
-no code with the routines they check.
+``complexes._delete_element``.  ``reference_interval`` is the interval
+builder that remapped P's up-set and cover rows by hand before
+``Poset.restrict``.  They are kept as they were, so they share no code with
+the routines they check.
 """
 
 from latshell.complexes import SimplicialComplex
@@ -169,3 +171,21 @@ def reference_delete_element(P: Poset, x: str) -> Poset:
                     f"({P.elements[i]!r}, {P.elements[j]!r})")
             covers.append((P.elements[i], P.elements[j]))
     return build_poset(members, covers)
+
+
+def reference_interval(P: Poset, x: str, y: str) -> Poset:
+    """The closed interval [x, y] as an induced subposet (bounded by x, y)."""
+    i, j = P.pair_idx(x, y)
+    members = P.up[i] & P.down[j]
+    sub = [k for k in range(P.n) if (members >> k) & 1]
+    pos = {k: t for t, k in enumerate(sub)}
+    m = len(sub)
+    up = [0] * m
+    cov = [0] * m
+    for t, k in enumerate(sub):
+        for j2 in bits(P.up[k] & members):
+            up[t] |= 1 << pos[j2]
+        # covers of P inside [x, y] are exactly the covers of the interval
+        for j2 in bits(P.cover_up[k] & members):
+            cov[t] |= 1 << pos[j2]
+    return Poset([P.elements[k] for k in sub], up, cov, pos[i], pos[j])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latshell import build_poset, classify_modularity, lattice_check, order_complex
+from latshell import build_poset, classify_modularity, interval, lattice_check, order_complex
 from latshell import groups as gm
 from latshell.complexes import _delete_element
 from latshell.errors import InvalidCertificate, NotALattice
@@ -18,6 +18,7 @@ from lattice_oracles import (
     reference_classify_modularity,
     reference_covers_of_restriction,
     reference_delete_element,
+    reference_interval,
     reference_lattice_check,
     reference_order_complex,
     reference_subgroup_covers,
@@ -64,6 +65,12 @@ def random_poset(rng):
     return family_poset(random_family(rng, rng.random() < 0.5))
 
 
+def fields(P):
+    """Every field of a poset, so that equal posets are equal field for
+    field (``Poset.__eq__`` compares elements and up-sets only)."""
+    return (P.elements, P.up, P.down, P.cover_up, P.cover_down, P.bottom, P.top)
+
+
 def _outcome(fn, *args):
     try:
         return "value", fn(*args)
@@ -100,13 +107,22 @@ def test_cover_rows_match_the_four_loops(rng):
     assert list(P.cover_up) == reference_canonical_covers(P.up)
 
     members = sorted(rng.sample(range(P.n), rng.randint(1, P.n)))
-    rows = induced_covers(P.up, sum(1 << i for i in members))
+    mask = sum(1 << i for i in members)
+    rows = induced_covers(P.up, mask)
+    covers = reference_covers_of_restriction(P, members)
     assert ([(P.elements[i], P.elements[j]) for i in members for j in bits(rows[i])]
-            == reference_covers_of_restriction(P, members))
+            == covers)
+    assert fields(P.restrict(mask)) == fields(
+        build_poset([P.elements[i] for i in members], covers))
+
+    for i in range(P.n):
+        for j in bits(P.up[i]):
+            x, y = P.elements[i], P.elements[j]
+            assert fields(interval(P, x, y)) == fields(reference_interval(P, x, y))
 
     for x in P.elements:
-        assert (_outcome(_delete_element, P, x)
-                == _outcome(reference_delete_element, P, x))
+        assert (_outcome(lambda: fields(_delete_element(P, x)))
+                == _outcome(lambda: fields(reference_delete_element(P, x))))
 
     family = random_family(rng, rng.random() < 0.5)
     names = [f"H{i}" for i in range(len(family))]

@@ -14,9 +14,10 @@ from latshell import (
 from latshell.errors import NotMaximal, SizeLimit
 from latshell.labeling import EdgeLabeling
 from latshell.morse import _ordered_chains
+from latshell.poset import Poset
 
 import morse_oracles as oracle
-from conftest import b2_poset
+from conftest import b2_poset, subset_poset
 from test_labeling import std_el_labeling
 from test_labeling_oracles import random_labeling
 from test_lattice_oracles import random_poset
@@ -72,6 +73,21 @@ def test_chain_limit_names_count_limit_and_flag(b3):
                                "chain limit 5; raise it with --limit-chains")
 
 
+def test_chain_limit_refuses_before_enumerating(monkeypatch):
+    P = subset_poset(9)
+    lab = EdgeLabeling({c: 1 for c in P.covers()})
+
+    def enumerate_chains(*args):
+        raise AssertionError("chains enumerated before the limit check")
+
+    monkeypatch.setattr(Poset, "maximal_chains_idx", enumerate_chains)
+    with pytest.raises(SizeLimit) as info:
+        weakly_descending_chains(P, lab)
+    assert str(info.value) == ("poset has 362880 maximal chains, more than "
+                               "the chain limit 20000; raise it with "
+                               "--limit-chains")
+
+
 def test_n5_descent_is_length0_msi(n5):
     P, L, m = n5
     lab = left_modular_labeling(L, m)
@@ -88,7 +104,7 @@ def test_b3_descent_singletons(b3):
         seq = lab.sequence(chain)
         descents = [k for k in range(1, len(seq))
                     if seq[k - 1] > seq[k]]
-        msis = minimal_skipped_intervals(P, lab, chain, ordered)
+        msis = minimal_skipped_intervals(P, lab, chain)
         pairs = {(s.i, s.j) for s in msis}
         for k in descents:
             assert (k, k) in pairs

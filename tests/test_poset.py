@@ -159,6 +159,14 @@ def test_proper_chain_count_is_the_face_count(suite):
     assert posets["two"].proper_chain_count() == posets["one"].proper_chain_count() == 1
 
 
+def test_maximal_chain_count_is_the_chain_count(suite):
+    posets = {name: P for name, P, _, _ in suite}
+    posets["one"] = build_poset(["x"], [])
+    for name, P in posets.items():
+        assert P.maximal_chain_count() == len(P.chains()), name
+    assert posets["L(S4)"].maximal_chain_count() == 44
+
+
 def test_faces_extend_to_facets(b3):
     cx = order_complex(b3[0])
     facets = cx.facet_name_sets()
@@ -216,6 +224,7 @@ def test_random_posets_roundtrip_and_invariants(data):
     proper = {c.elements[1:-1] for c in chains}
     assert facets == frozenset(frozenset(p) for p in proper)
     assert P.proper_chain_count() == len(cx.faces())
+    assert P.maximal_chain_count() == len(chains)
     lo, hi = P.min_max_chain_covers()
     lengths = [c.length for c in chains]
     assert lo == min(lengths) and hi == max(lengths)
