@@ -10,9 +10,18 @@ kept.  Per chain, with its left-modular labeling: every skeleton target
 A case's outcome is the sha256 of its certificate's repr, or the error's
 type and message.
 
-``python tests/vd_sweep.py`` (with ``src`` on PYTHONPATH) prints one JSON
-line per case; ``--write`` stores them in ``tests/golden/vd_sweep.jsonl``.
-Do that only for a deliberate certificate change, and say so in CHANGES.md.
+The failing-labeling sweep reaches the recursion's self-checks, which no
+valid labeling trips.  On the small conftest lattices (chain3, B2, B3, M3,
+N5 and Π4, taken in turn) it draws 1 000 labelings from one seeded
+generator, each cover labelled 1, 2 or 3 in ``Poset.covers`` order, and
+runs ``constructive_vd_skeleton`` at every target 1 ... bound and
+``constructive_vd_full``.  Most of these labelings are not quasi-EL.
+
+``python tests/vd_sweep.py [--failing]`` (with ``src`` on PYTHONPATH)
+prints one JSON line per case of the sweep (or of the failing-labeling
+sweep); ``--write`` stores them in ``tests/golden/vd_sweep.jsonl`` (or
+``tests/golden/vd_failing_sweep.jsonl``).  Do that only for a deliberate
+certificate change, and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -20,10 +29,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden", "vd_sweep.jsonl")
+FAILING_GOLDEN = os.path.join(HERE, "golden", "vd_failing_sweep.jsonl")
+FAILING_SEED = 12
+FAILING_LABELINGS = 1000
 
 
 def _thinned(chain: tuple) -> tuple:
@@ -84,6 +97,29 @@ def sweep() -> list[dict]:
     return rows
 
 
+def failing_sweep() -> list[dict]:
+    import conftest
+    from latshell import complexes as cxm
+    from latshell import labeling as lb
+
+    posets = (("chain3", conftest.chain3_poset()), ("b2", conftest.b2_poset()),
+              ("b3", conftest.subset_poset(3)), ("m3", conftest.m3_poset()),
+              ("n5", conftest.n5_poset()), ("pi4", conftest.pi4_poset()))
+    rng = random.Random(FAILING_SEED)
+    rows = []
+    for k in range(FAILING_LABELINGS):
+        name, P = posets[k % len(posets)]
+        lab = lb.EdgeLabeling({c: rng.randint(1, 3) for c in P.covers()})
+        bound, _ = lb.min_chain_complexity(P, lab)
+        case = f"{k} {name} {''.join(map(str, lab.labels.values()))}"
+        for t in range(1, bound + 1):
+            rows.append({"case": f"{case} {t}", "outcome": _outcome(
+                cxm.constructive_vd_skeleton, P, lab, t)})
+        rows.append({"case": f"{case} full", "outcome": _outcome(
+            cxm.constructive_vd_full, P, lab)})
+    return rows
+
+
 def lines(rows) -> list[str]:
     return [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
 
@@ -91,9 +127,11 @@ def lines(rows) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     sys.path.insert(0, HERE)
-    out = "\n".join(lines(sweep())) + "\n"
+    failing = "--failing" in argv
+    out = "\n".join(lines(failing_sweep() if failing else sweep())) + "\n"
     if "--write" in argv:
-        with open(GOLDEN, "w", encoding="utf-8") as fh:
+        with open(FAILING_GOLDEN if failing else GOLDEN, "w",
+                  encoding="utf-8") as fh:
             fh.write(out)
     else:
         sys.stdout.write(out)
