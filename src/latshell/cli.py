@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -78,7 +79,9 @@ def load_poset(path: str) -> pm.Poset:
 def load_labeling(path: str, poset: pm.Poset) -> lb.EdgeLabeling:
     """A labeling file: ``edges``, an array of {from, to, label} objects,
     each a cover of ``poset`` listed at most once; the labels are all
-    numbers or all strings."""
+    finite numbers or all strings.  ``json`` reads ``NaN``, ``Infinity``
+    and out-of-range numbers such as ``1e400`` as non-finite floats, which
+    are refused."""
     data = _read_json(path, LABELING_KEYS)
     edges = data.get("edges", [])
     if not isinstance(edges, list):
@@ -99,6 +102,9 @@ def load_labeling(path: str, poset: pm.Poset) -> lb.EdgeLabeling:
         if ends not in covers:
             raise InputParseError(f"{path}: edge {ends[0]!r} -> {ends[1]!r} "
                                   "is not a cover of the poset")
+        if isinstance(label, float) and not math.isfinite(label):
+            raise InputParseError(f"{path}: edge {ends[0]!r} -> {ends[1]!r} "
+                                  f"has the non-finite label {label!r}")
         labels[ends] = label
     values = labels.values()
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -162,7 +162,14 @@ class SimplicialComplex:
     # -- constructions -----------------------------------------------------
 
     def skeleton(self, r: int) -> "SimplicialComplex":
-        """Faces of dimension at most ``r``."""
+        """Faces of dimension at most ``r``.
+
+        Its facets are the facets of at most r + 1 vertices and the
+        (r + 1)-subsets of the larger ones, with nothing to remove: the
+        facets are an antichain, so a small facet lies in no other facet,
+        hence in no subset of one, and a subset s of a larger facet g lies
+        in no small facet f, as |f| <= |s| would give s = f inside g.
+        """
         if self.is_void or r < -1:
             return SimplicialComplex((), frozenset())
         keep = set()
@@ -171,7 +178,7 @@ class SimplicialComplex:
                 keep.add(f)
             else:
                 keep.update(_subsets(f, r + 1))
-        return SimplicialComplex(self.vertices, _maximalize(keep)).compact()
+        return SimplicialComplex(self.vertices, keep).compact()
 
     def compact(self) -> "SimplicialComplex":
         """Drop vertices outside the support, preserving order."""
@@ -630,13 +637,19 @@ def join_skeleton_certificate(factors, t: int):
     """Certificate for skel_t of the join of the factors.
 
     A level at or above a factor's dimension takes the whole factor, and t
-    is read as at most the dimension of the join.  Requires each level at
-    least -1, each proper skeleton pure (every facet of the factor at least
-    level + 1 vertices), and t + 1 <= sum(level + 1) over the levels so
-    read.  Shedding vertices are pulled from the factor certificates;
-    exchanges across factors exist by purity.
+    is read as at most the dimension D = sum(dim + 1) - 1 of the join.
+    Requires each level at least -1, each proper skeleton pure (every facet
+    of the factor at least level + 1 vertices), and t + 1 <= sum(level + 1)
+    over the levels so read.  Shedding vertices are pulled from the factor
+    certificates; exchanges across factors exist by purity.
+
+    The leaf test needs no join: skel_t of the join J has at most one facet
+    iff t < 0, or every factor has one facet and t = D.  For t < 0 the
+    skeleton is the empty or the void complex.  For t >= 0 a lone facet G
+    of skel_t holds every vertex of J and lies in a facet F of J, so every
+    facet of J lies in F: J is the simplex F, which has one facet iff every
+    factor has one, and its t-skeleton is F alone iff t + 1 = |F| = D + 1.
     """
-    cxs = [f.complex for f in factors]
     total = 0
     for f in factors:
         if f.complex.is_void:
@@ -649,40 +662,36 @@ def join_skeleton_certificate(factors, t: int):
             if min(x.bit_count() for x in f.complex.facets) < level + 1:
                 raise InvalidCertificate("factor skeleton is not pure")
         total += level + 1
-    t = min(t, sum(c.dim + 1 for c in cxs) - 1)
+    top = sum(f.complex.dim + 1 for f in factors) - 1
+    t = min(t, top)
     if t + 1 > total:
         raise InvalidCertificate(f"target {t} exceeds available levels")
+    seen = set()
+    for f in factors:
+        overlap = seen.intersection(f.complex.vertices)
+        if overlap:
+            raise VertexClash(f"shared vertices {sorted(overlap)!r}")
+        seen.update(f.complex.vertices)
 
-    T = cxs[0]
-    for c in cxs[1:]:
-        T = T.join(c)
-    T = T.skeleton(t)
-    if len(T.facets) <= 1:
+    if t < 0 or (t == top and all(len(f.complex.facets) == 1 for f in factors)):
         return VDLeaf()
 
-    for j, f in enumerate(factors):
-        if isinstance(f.cert, VDNode):
-            v = f.cert.vertex
-            del_factors = list(factors)
-            del_factors[j] = JoinFactor(f.complex.delete_vertex(v), f.level,
-                                        f.cert.deletion)
-            link_factors = list(factors)
-            link_factors[j] = JoinFactor(f.complex.link_of((v,)), f.level - 1,
-                                         f.cert.link)
-            return VDNode(v,
-                          join_skeleton_certificate(del_factors, t),
-                          join_skeleton_certificate(link_factors, t - 1))
-
-    for j, f in enumerate(factors):
-        if f.level == -1 and f.complex.n_vertices:
-            v = f.complex.vertices[-1]
-            del_factors = list(factors)
-            del_factors[j] = JoinFactor(f.complex.delete_vertex(v), -1, VDLeaf())
-            link_factors = list(factors)
-            link_factors[j] = JoinFactor(f.complex.link_of((v,)), -1, VDLeaf())
-            return VDNode(v,
-                          join_skeleton_certificate(del_factors, t),
-                          join_skeleton_certificate(link_factors, t - 1))
+    # shed a factor certificate's vertex, else a level -1 factor's last vertex
+    sheds = [(j, f.cert.vertex, f.level - 1, f.cert.deletion, f.cert.link)
+             for j, f in enumerate(factors) if isinstance(f.cert, VDNode)]
+    sheds += [(j, f.complex.vertices[-1], -1, VDLeaf(), VDLeaf())
+              for j, f in enumerate(factors)
+              if f.level == -1 and f.complex.n_vertices]
+    if sheds:
+        j, v, link_level, deletion, link = sheds[0]
+        f = factors[j]
+        del_factors = list(factors)
+        del_factors[j] = JoinFactor(f.complex.delete_vertex(v), f.level, deletion)
+        link_factors = list(factors)
+        link_factors[j] = JoinFactor(f.complex.link_of((v,)), link_level, link)
+        return VDNode(v,
+                      join_skeleton_certificate(del_factors, t),
+                      join_skeleton_certificate(link_factors, t - 1))
 
     union = []
     for f in factors:
@@ -702,7 +711,7 @@ class DescentPick:
     element: str
 
 
-def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> DescentPick:
+def lex_greatest_single_descent_chain(P: Poset, lab) -> DescentPick:
     """Descent element of the lexicographically greatest maximal chain with
     exactly one strict descent (ties broken by the element order).
 
@@ -710,8 +719,6 @@ def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> 
     the descent element everything ascends, no chain ascends through it,
     and every cover pair through it has a bypass.
     """
-    from . import labeling as lb
-
     chains = P.chains()
     stats = {c: lab.stats(c) for c in chains}
     if all(stats[c].weakly_ascending for c in chains):
@@ -721,7 +728,7 @@ def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> 
         raise InvalidCertificate("descents exist but no single-descent chain; "
                                  "labeling is not quasi-EL")
     # greatest by raw label sequence; the element order only breaks exact ties
-    best = max(single, key=lambda c: (lab.sequence(c),
+    best = max(single, key=lambda c: (stats[c].labels,
                                       tuple(P.idx(e) for e in c)))
     x = stats[best].descents[0]
     xi = P.idx(x)
@@ -734,7 +741,8 @@ def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> 
     for c in chains:
         if x in c:
             k = c.index(x)
-            if 0 < k < len(c) - 1 and lab.label(c[k - 1], x) < lab.label(x, c[k + 1]):
+            labels = stats[c].labels
+            if 0 < k < len(c) - 1 and labels[k - 1] < labels[k]:
                 raise InvalidCertificate(f"a chain strictly ascends through {x!r}")
 
     for w in bits(P.cover_down[xi]):
@@ -743,12 +751,6 @@ def lex_greatest_single_descent_chain(P: Poset, lab, recheck_limit: int = 0) -> 
             if not between:
                 raise InvalidCertificate(
                     f"cover pair through {x!r} has no bypass")
-
-    if 0 < P.n <= recheck_limit:
-        rest = lb.verify_quasi_el(_delete_element(P, x), lab)
-        if not rest.ok:
-            raise InvalidCertificate(
-                f"restriction away from {x!r} lost the labeling axioms")
     return DescentPick(Chain(best, maximal=True), x)
 
 
@@ -762,8 +764,12 @@ def _delete_element(P: Poset, x: str) -> Poset:
     return rest
 
 
-def constructive_vd_skeleton(P: Poset, lab, target_r: int,
-                             recheck_limit: int = 12):
+# deletions from posets of at most this many elements are verified again
+# in full, as a self-check of the shedding step
+RECHECK_LIMIT = 12
+
+
+def constructive_vd_skeleton(P: Poset, lab, target_r: int):
     """Certificate for the (target_r - 2)-skeleton of the order complex.
 
     ``target_r`` must not exceed the minimum of distinct-plus-repeated
@@ -776,10 +782,10 @@ def constructive_vd_skeleton(P: Poset, lab, target_r: int,
     bound, _ = lb.min_chain_complexity(P, lab)
     if target_r > bound:
         raise TargetTooLarge(f"target {target_r} exceeds the bound {bound}")
-    return _vd_rec(P, order_complex(P), lab, target_r - 2, recheck_limit)
+    return _vd_rec(P, order_complex(P), lab, target_r - 2)
 
 
-def constructive_vd_full(P: Poset, lab, recheck_limit: int = 12):
+def constructive_vd_full(P: Poset, lab):
     """Certificate for the full order complex, valid when no maximal chain
     repeats a label more than twice in a row."""
     for names in P.chains():
@@ -788,40 +794,50 @@ def constructive_vd_full(P: Poset, lab, recheck_limit: int = 12):
             if seq[k] == seq[k + 1] == seq[k + 2]:
                 raise RepeatRunTooLong(names, seq[k])
     cx = order_complex(P)
-    return cx, _vd_rec(P, cx, lab, cx.dim, recheck_limit)[1]
+    return cx, _vd_rec(P, cx, lab, cx.dim)[1]
 
 
-def _vd_rec(P: Poset, full: SimplicialComplex, lab, t: int, recheck_limit: int):
+def _vd_rec(P: Poset, full: SimplicialComplex, lab, t: int):
     """skel_t of ``full``, the order complex of ``P``, with t read as at
     most its dimension, and a certificate for it.  Sheds the descent element
     x of the lexicographically greatest single-descent chain; the link of x
     is the join of the order complexes of [0, x] and [x, 1].  With every
     chain weakly ascending the complex is the join of
-    ``_base_case_factors``."""
+    ``_base_case_factors``.  The deletion P less x is built once, and
+    verified again when P has at most ``RECHECK_LIMIT`` elements."""
+    from . import labeling as lb
+
     t = min(t, full.dim)
     cx = full.skeleton(t)
     if len(cx.facets) <= 1:
         return cx, VDLeaf()
     try:
-        pick = lex_greatest_single_descent_chain(P, lab, recheck_limit)
+        x = lex_greatest_single_descent_chain(P, lab).element
     except AllChainsAscending:
         factors = _base_case_factors(P, lab, t)
         cert = join_skeleton_certificate(factors, t)
-        joined = factors[0].complex
-        for f in factors[1:]:
-            joined = joined.join(f.complex)
-        if joined.skeleton(t) != cx:
-            raise InvalidCertificate("base case join does not match the skeleton")
+        _check_join(factors, t, cx, "base case join does not match the skeleton")
         return cx, cert
 
-    x = pick.element
     rest = _delete_element(P, x)
-    _, deletion = _vd_rec(rest, order_complex(rest), lab, t, recheck_limit)
-    link_factors, link_cx = _split_factors(P, lab, x, t, recheck_limit)
-    if link_cx != cx.link_of((x,)):
-        raise InvalidCertificate("link join does not match the complex link")
-    link_cert = join_skeleton_certificate(link_factors, t - 1)
-    return cx, VDNode(x, deletion, link_cert)
+    if P.n <= RECHECK_LIMIT and not lb.verify_quasi_el(rest, lab).ok:
+        raise InvalidCertificate(
+            f"restriction away from {x!r} lost the labeling axioms")
+    _, deletion = _vd_rec(rest, order_complex(rest), lab, t)
+    link_factors = _split_factors(P, lab, x, t)
+    _check_join(link_factors, t - 1, cx.link_of((x,)),
+                "link join does not match the complex link")
+    return cx, VDNode(x, deletion, join_skeleton_certificate(link_factors, t - 1))
+
+
+def _check_join(factors, t: int, expected: SimplicialComplex, message: str):
+    """Self-check: skel_t of the join of the factors' complexes is
+    ``expected``, else ``InvalidCertificate(message)``."""
+    joined = factors[0].complex
+    for f in factors[1:]:
+        joined = joined.join(f.complex)
+    if joined.skeleton(t) != expected:
+        raise InvalidCertificate(message)
 
 
 def _base_case_factors(P: Poset, lab, t: int):
@@ -851,7 +867,7 @@ def _base_case_factors(P: Poset, lab, t: int):
     return factors
 
 
-def _split_factors(P: Poset, lab, x: str, t: int, recheck_limit: int):
+def _split_factors(P: Poset, lab, x: str, t: int):
     """Join factors for the link of the shed element: the lower interval at
     its own full complexity, the upper interval at what remains of t.
 
@@ -877,9 +893,7 @@ def _split_factors(P: Poset, lab, x: str, t: int, recheck_limit: int):
         if level >= 0:
             if level < cxf.dim and level + 2 > lb.min_chain_complexity(sub, lab)[0]:
                 raise InvalidCertificate("interval target exceeds its bound")
-            factors.append(JoinFactor(cxf, level,
-                                      _vd_rec(sub, cxf, lab, level, recheck_limit)[1]))
+            factors.append(JoinFactor(cxf, level, _vd_rec(sub, cxf, lab, level)[1]))
         else:
             factors.append(JoinFactor(cxf, -1, VDLeaf()))
-    joined = factors[0].complex.join(factors[1].complex).skeleton(t - 1)
-    return factors, joined
+    return factors

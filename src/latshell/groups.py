@@ -146,6 +146,8 @@ def parse_group_file(text: str) -> PermGroup:
     if not lines or not lines[0].lower().startswith("degree:"):
         raise NotAPermutation("group file must start with 'degree: n'")
     degree = int(lines[0].split(":", 1)[1])
+    if degree < 0:
+        raise NotAPermutation(f"degree {degree} is negative")
     gens = [parse_cycles(l, degree) for l in lines[1:]]
     return group_from_generators(degree, gens)
 

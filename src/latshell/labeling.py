@@ -18,7 +18,6 @@ from .errors import (
     IncompatiblePosets,
     InternalLabelingError,
     NoAtomGenerates,
-    NotMaximal,
     SizeLimit,
     UnknownElement,
 )
@@ -166,9 +165,10 @@ def refine_to_el(q: EdgeLabeling, r: EdgeLabeling) -> EdgeLabeling:
 # --------------------------------------------------------------------------
 
 def chain_stats(P: Poset, lab: EdgeLabeling, chain) -> ChainStats:
-    """Label statistics for a maximal chain."""
+    """Label statistics for a maximal chain (``Poset.maximal_chain_idx``
+    refuses anything else)."""
     elems = tuple(chain.elements if isinstance(chain, Chain) else chain)
-    _require_maximal(P, elems)
+    P.maximal_chain_idx(elems)
     return lab.stats(elems)
 
 
@@ -190,15 +190,6 @@ def stats_of_sequence(elems: tuple, labels: tuple) -> ChainStats:
         weakly_ascending=not descents,
         weakly_descending=not ascents,
     )
-
-
-def _require_maximal(P: Poset, elems):
-    P.require_bounded()
-    if P.idx(elems[0]) != P.bottom or P.idx(elems[-1]) != P.top:
-        raise NotMaximal("chain must run from bottom to top")
-    for a, b in zip(elems, elems[1:]):
-        if not (P.cover_up[P.idx(a)] >> P.idx(b)) & 1:
-            raise NotMaximal(f"({a!r}, {b!r}) is not a cover")
 
 
 def lamplus_sequence(P: Poset, lab: EdgeLabeling, elems) -> tuple:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import NotMaximal, SizeLimit
+from .errors import SizeLimit
 from .lattice import Lattice, ModularChain, complement_refinements
 from .labeling import ChainStats, EdgeLabeling, lamplus_sequence
 from .poset import Chain, Poset, bits, order_complex
@@ -116,11 +116,7 @@ def _minimal_skipped(P: Poset, chain, step):
     neither (i + 1, j) nor (i, j - 1) is skipped.
     """
     elems = tuple(chain.elements if isinstance(chain, Chain) else chain)
-    P.require_bounded()
-    c = [P.index.get(e) for e in elems]
-    if (not c or None in c or c[0] != P.bottom or c[-1] != P.top
-            or any(not P.cover_up[a] >> b & 1 for a, b in zip(c, c[1:]))):
-        raise NotMaximal(f"{elems!r} is not a maximal chain")
+    c = P.maximal_chain_idx(elems)
     ell = len(c) - 1
     # first[hi]: the least lo whose segment c_lo ... c_hi is the first
     # maximal chain of [c_lo, c_hi]; every larger lo gives a first one too

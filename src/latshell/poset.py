@@ -18,6 +18,7 @@ from .errors import (
     CycleDetected,
     DuplicateElement,
     NotComparable,
+    NotMaximal,
     RedundantCover,
     Unbounded,
     UnknownElement,
@@ -162,6 +163,17 @@ class Poset:
         as tuples of element names, in ``maximal_chains_idx`` order."""
         name = self.elements.__getitem__
         return [tuple(map(name, c)) for c in self.maximal_chains_idx(lo, hi)]
+
+    def maximal_chain_idx(self, elems) -> list[int]:
+        """The indices of the names ``elems``, which must form a maximal
+        chain: bottom to top, each step a cover.  Anything else, an unknown
+        name or the empty chain included, raises ``NotMaximal``."""
+        self.require_bounded()
+        c = [self.index.get(e) for e in elems]
+        if (not c or None in c or c[0] != self.bottom or c[-1] != self.top
+                or any(not self.cover_up[a] >> b & 1 for a, b in zip(c, c[1:]))):
+            raise NotMaximal(f"{tuple(elems)!r} is not a maximal chain")
+        return c
 
     def pair_idx(self, x: str, y: str) -> tuple[int, int]:
         """The indices of x and y, which must satisfy x <= y."""

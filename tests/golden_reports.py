@@ -168,6 +168,17 @@ def cases(workdir: str) -> list[tuple[str, list[str]]]:
                    ["a", "1"]]})
     out.append(("poset check chain5 redundant", ["poset", "check", path]))
     out.extend(_failing_labeling_cases(workdir))
+    # labels that json reads as non-finite floats (1e400 overflows to inf)
+    # are refused with exit 2
+    for tag in ("NaN", "1e400"):
+        edges = [{"from": x, "to": y, "label": "LABEL" if k == 0 else 1}
+                 for k, (x, y) in enumerate(b2.covers())]
+        path = f"b2.{tag.lower()}.json"
+        with open(os.path.join(workdir, path), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"edges": edges}).replace('"LABEL"', tag))
+        out.append((f"label verify b2 {tag}",
+                     ["label", "verify", "--poset", "b2.json",
+                      "--labeling", path]))
     for name, (P, chain) in _bench_lattices().items():
         out.extend(_bench_lattice_cases(workdir, name, P, chain))
     return out

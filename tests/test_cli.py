@@ -24,7 +24,7 @@ from latshell.cli import (
     main,
     run,
 )
-from latshell.errors import InputParseError
+from latshell.errors import InputParseError, NotAPermutation
 
 from conftest import pi4_poset, subset_poset
 
@@ -379,3 +379,27 @@ def test_labeling_edge_that_is_not_a_cover_exits_2(tmp_path, capsys, chain2_file
     with pytest.raises(InputParseError, match="not a cover"):
         load_labeling(str(lab), load_poset(chain2_file))
     _labeling_exits_2(capsys, chain2_file, str(lab), "not a cover")
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+    ("1e400", "inf")])
+def test_non_finite_labels_exit_2(tmp_path, capsys, chain2_file, text, shown):
+    # json reads these as floats; 1e400 overflows to inf
+    lab = tmp_path / "nonfinite.json"
+    lab.write_text('{"edges": [{"from": "0", "to": "1", "label": %s}]}' % text)
+    words = f"has the non-finite label {shown}"
+    with pytest.raises(InputParseError, match=words):
+        load_labeling(str(lab), load_poset(chain2_file))
+    _labeling_exits_2(capsys, chain2_file, str(lab), words)
+
+
+def test_negative_group_degree_exits_2(tmp_path, capsys):
+    grp = tmp_path / "neg.grp"
+    grp.write_text("degree: -1\n")
+    with pytest.raises(NotAPermutation, match="degree -1 is negative"):
+        gm.parse_group_file(grp.read_text())
+    assert main(["group", "lattice", str(grp)]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body == {"error": "NotAPermutation",
+                    "message": "degree -1 is negative"}

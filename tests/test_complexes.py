@@ -266,6 +266,10 @@ def test_join_skeleton_certificate_refusals():
     with pytest.raises(InvalidCertificate, match="target 1 exceeds"):
         join_skeleton_certificate(
             [_point_factor("a", "b"), JoinFactor(b, -1, VDLeaf())], 1)
+    # factors must not share vertices, whatever the leaf test decides
+    with pytest.raises(VertexClash, match=r"shared vertices \['x'\]"):
+        join_skeleton_certificate(
+            [_point_factor("x", "y"), _point_factor("x", "z")], 1)
 
 
 def test_lex_greatest_single_descent(n5, b3):

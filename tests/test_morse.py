@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latshell import (
+    chain_stats,
     connectivity_lower_bound,
     descending_equals_complements,
     homology_consistency,
@@ -44,13 +45,16 @@ def test_msis_match_the_brute_force_on_ls4(gl_s4):
 
 
 @pytest.mark.parametrize("chain", [("0", "c", "b", "1"), ("0", "b", "1"),
-                                   ("0", "x", "1")])
+                                   ("0", "x", "1"), ()])
 def test_msis_refuse_what_is_not_a_maximal_chain(n5, chain):
-    # a non-chain, a chain that is not maximal, an unknown name
+    # a non-chain, a chain that is not maximal, an unknown name, no name;
+    # chain_stats checks its chain with the same routine
     P, L, m = n5
-    with pytest.raises(NotMaximal) as info:
-        minimal_skipped_intervals(P, left_modular_labeling(L, m), chain)
-    assert str(info.value) == f"{chain!r} is not a maximal chain"
+    lab = left_modular_labeling(L, m)
+    for fn in (minimal_skipped_intervals, chain_stats):
+        with pytest.raises(NotMaximal) as info:
+            fn(P, lab, chain)
+        assert str(info.value) == f"{chain!r} is not a maximal chain"
 
 
 def test_lex_first_chain_is_degenerate(n5):
