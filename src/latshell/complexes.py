@@ -42,7 +42,8 @@ from .errors import (
     VertexClash,
     VoidComplex,
 )
-from .poset import Chain, Poset, bits, interval, order_complex
+from . import labeling as lb
+from .poset import Chain, Poset, bits, chain_complex, interval
 
 
 class SimplicialComplex:
@@ -205,10 +206,17 @@ class SimplicialComplex:
         return SimplicialComplex(self.vertices, facets).compact()
 
     def delete_vertex(self, v) -> "SimplicialComplex":
+        """The faces without v.  Its facets are the facets G that avoid v
+        and the F - v of the facets F through v whose F - v lies in no
+        such G.  A G stays maximal: a face without v that contains G lies
+        in some facet, which then contains G and so is G.  Two F - v never
+        contain one another: F - v inside F' - v would put F inside F'.  So
+        an F - v is dropped exactly when it lies inside some G."""
         if v not in self.vindex:
             raise UnknownVertex(repr(v))
         bit = 1 << self.vindex[v]
-        facets = _maximalize({f & ~bit for f in self.facets})
+        avoiding = [g for g in self.facets if not g & bit]
+        facets = avoiding + [f & ~bit for f in _exposed(self.facets, avoiding, bit)]
         return SimplicialComplex(self.vertices, facets).compact()
 
     def delete_face(self, names) -> "SimplicialComplex":
@@ -287,12 +295,18 @@ def shedding_failure_witness(cx: SimplicialComplex, v):
         raise UnknownVertex(repr(v))
     bit = 1 << cx.vindex[v]
     avoiding = [g for g in cx.facets if not g & bit]
-    for f in cx.facets:
+    witness = next(_exposed(cx.facets, avoiding, bit), None)
+    return None if witness is None else cx.names_of(witness)
+
+
+def _exposed(facets, avoiding, bit: int):
+    """The facets F through the vertex ``bit`` whose F - v lies in none of
+    the facets ``avoiding`` v, in the iteration order of ``facets``."""
+    for f in facets:
         if f & bit:
             rest = f & ~bit
             if not any(rest & g == rest for g in avoiding):
-                return cx.names_of(f)
-    return None
+                yield f
 
 
 def is_shedding_vertex(cx: SimplicialComplex, v) -> bool:
@@ -719,8 +733,15 @@ def lex_greatest_single_descent_chain(P: Poset, lab) -> DescentPick:
     the descent element everything ascends, no chain ascends through it,
     and every cover pair through it has a bypass.
     """
-    chains = P.chains()
-    stats = {c: lab.stats(c) for c in chains}
+    P.require_bounded()
+    return _descent_pick(P, _VDCache(lab))
+
+
+def _descent_pick(P: Poset, cache: _VDCache) -> DescentPick:
+    """``lex_greatest_single_descent_chain`` with chains and their
+    statistics read through ``cache``."""
+    chains = cache.chains(P, P.bottom, P.top)
+    stats = {c: cache.stats(c) for c in chains}
     if all(stats[c].weakly_ascending for c in chains):
         raise AllChainsAscending("every maximal chain is weakly ascending")
     single = [c for c in chains if len(stats[c].descents) == 1]
@@ -733,8 +754,8 @@ def lex_greatest_single_descent_chain(P: Poset, lab) -> DescentPick:
     x = stats[best].descents[0]
     xi = P.idx(x)
 
-    for c in P.chains(P.bottom, xi):
-        if not lab.stats(c).weakly_ascending:
+    for c in cache.chains(P, P.bottom, xi):
+        if not cache.stats(c).weakly_ascending:
             raise InvalidCertificate(
                 f"chain below descent element {x!r} is not ascending")
 
@@ -769,62 +790,144 @@ def _delete_element(P: Poset, x: str) -> Poset:
 RECHECK_LIMIT = 12
 
 
+class _VDCache:
+    """What one constructive call learns about the sub-posets it meets, so
+    that each fact is computed once: certificates by (elements, t), and
+    interval spines, chain lists and chain statistics by interval members
+    and by chain.  Sound only for restrictions of one root poset under one
+    labeling (see ``_vd_rec``)."""
+
+    __slots__ = ("lab", "certs", "spines", "chain_lists", "chain_stats")
+
+    def __init__(self, lab):
+        self.lab = lab
+        self.certs = {}
+        self.spines = {}
+        self.chain_lists = {}
+        self.chain_stats = {}
+
+    @staticmethod
+    def _members(P: Poset, lo: int, hi: int) -> tuple:
+        if lo == P.bottom and hi == P.top:
+            return P.elements
+        return tuple(map(P.elements.__getitem__, bits(P.up[lo] & P.down[hi])))
+
+    def chains(self, P: Poset, lo: int, hi: int) -> list:
+        """The maximal chains of [lo, hi] of ``P``, as ``P.chains``."""
+        key = self._members(P, lo, hi)
+        out = self.chain_lists.get(key)
+        if out is None:
+            out = self.chain_lists[key] = P.chains(lo, hi)
+        return out
+
+    def stats(self, chain: tuple):
+        out = self.chain_stats.get(chain)
+        if out is None:
+            out = self.chain_stats[chain] = self.lab.stats(chain)
+        return out
+
+    def spine(self, P: Poset, lo: int, hi: int):
+        """The spine or Violation of [lo, hi] of ``P``, as
+        ``labeling._interval_spine``."""
+        key = self._members(P, lo, hi)
+        out = self.spines.get(key)
+        if out is None:
+            seqs = {c: self.stats(c).labels for c in self.chains(P, lo, hi)}
+            out = self.spines[key] = lb._interval_spine(P, lo, hi, self.lab, seqs)
+        return out
+
+    def complex(self, P: Poset) -> SimplicialComplex:
+        """``order_complex(P)``, from the chains of ``P``."""
+        return chain_complex(P, self.chains(P, P.bottom, P.top), P.elements)
+
+    def min_complexity(self, P: Poset) -> int:
+        """``labeling.min_chain_complexity(P, lab)[0]``."""
+        return min(st.ell0 + st.ell1 for st in
+                   map(self.stats, self.chains(P, P.bottom, P.top)))
+
+
 def constructive_vd_skeleton(P: Poset, lab, target_r: int):
     """Certificate for the (target_r - 2)-skeleton of the order complex.
 
     ``target_r`` must not exceed the minimum of distinct-plus-repeated
     labels over maximal chains; the construction is refused beyond that.
     """
-    from . import labeling as lb
-
     if target_r < 1:
         raise TargetTooLarge("target must be at least 1")
-    bound, _ = lb.min_chain_complexity(P, lab)
+    P.require_bounded()
+    cache = _VDCache(lab)
+    bound = cache.min_complexity(P)
     if target_r > bound:
         raise TargetTooLarge(f"target {target_r} exceeds the bound {bound}")
-    return _vd_rec(P, order_complex(P), lab, target_r - 2)
+    return _vd_level(P, cache.complex(P), target_r - 2, cache)
 
 
 def constructive_vd_full(P: Poset, lab):
     """Certificate for the full order complex, valid when no maximal chain
     repeats a label more than twice in a row."""
-    for names in P.chains():
-        seq = lab.sequence(names)
+    P.require_bounded()
+    cache = _VDCache(lab)
+    for names in cache.chains(P, P.bottom, P.top):
+        seq = cache.stats(names).labels
         for k in range(len(seq) - 2):
             if seq[k] == seq[k + 1] == seq[k + 2]:
                 raise RepeatRunTooLong(names, seq[k])
-    cx = order_complex(P)
-    return cx, _vd_rec(P, cx, lab, cx.dim)[1]
+    cx = cache.complex(P)
+    return cx, _vd_level(P, cx, cx.dim, cache)[1]
 
 
-def _vd_rec(P: Poset, full: SimplicialComplex, lab, t: int):
+def _vd_rec(P: Poset, t: int, cache: _VDCache, full=None):
+    """A certificate for skel_t of the order complex of ``P`` (``full``,
+    built here when not given), with t read as at most its dimension.
+    ``_vd_level`` builds it, once per (``P.elements``, t) of the call; the
+    root's own level is not stored, as every poset below it is smaller.
+
+    That is exact.  Every poset the recursion meets is ``Poset.restrict``
+    of the root, a deletion or an interval of one met before, so its
+    elements keep the root's order and carry the order the root induces.
+    Its element tuple therefore fixes the poset: its covers, the DFS order
+    of its chains and of its intervals' chains, every interval spine, and
+    with t the certificate, whichever branch reaches it.  For the same
+    reason an interval's member names fix its chains and its spine, and a
+    chain's names fix its statistics, which is how ``_VDCache`` keys them.
+    A failure ends the call, so only results are stored.
+    """
+    key = (P.elements, t)
+    cert = cache.certs.get(key)
+    if cert is None:
+        cert = cache.certs[key] = _vd_level(
+            P, cache.complex(P) if full is None else full, t, cache)[1]
+    return cert
+
+
+def _vd_level(P: Poset, full: SimplicialComplex, t: int, cache: _VDCache):
     """skel_t of ``full``, the order complex of ``P``, with t read as at
     most its dimension, and a certificate for it.  Sheds the descent element
     x of the lexicographically greatest single-descent chain; the link of x
     is the join of the order complexes of [0, x] and [x, 1].  With every
     chain weakly ascending the complex is the join of
-    ``_base_case_factors``.  The deletion P less x is built once, and
-    verified again when P has at most ``RECHECK_LIMIT`` elements."""
-    from . import labeling as lb
-
+    ``_base_case_factors``.  The deletion P less x is checked for new
+    covers on every visit, and, when P has at most ``RECHECK_LIMIT``
+    elements, verified again with the interval spines of the call."""
     t = min(t, full.dim)
     cx = full.skeleton(t)
     if len(cx.facets) <= 1:
         return cx, VDLeaf()
     try:
-        x = lex_greatest_single_descent_chain(P, lab).element
+        x = _descent_pick(P, cache).element
     except AllChainsAscending:
-        factors = _base_case_factors(P, lab, t)
+        factors = _base_case_factors(P, t, cache)
         cert = join_skeleton_certificate(factors, t)
         _check_join(factors, t, cx, "base case join does not match the skeleton")
         return cx, cert
 
     rest = _delete_element(P, x)
-    if P.n <= RECHECK_LIMIT and not lb.verify_quasi_el(rest, lab).ok:
+    if P.n <= RECHECK_LIMIT and not lb._spine_verdict(
+            rest, lambda lo, hi: cache.spine(rest, lo, hi)).ok:
         raise InvalidCertificate(
             f"restriction away from {x!r} lost the labeling axioms")
-    _, deletion = _vd_rec(rest, order_complex(rest), lab, t)
-    link_factors = _split_factors(P, lab, x, t)
+    deletion = _vd_rec(rest, t, cache)
+    link_factors = _split_factors(P, x, t, cache)
     _check_join(link_factors, t - 1, cx.link_of((x,)),
                 "link join does not match the complex link")
     return cx, VDNode(x, deletion, join_skeleton_certificate(link_factors, t - 1))
@@ -840,12 +943,10 @@ def _check_join(factors, t: int, expected: SimplicialComplex, message: str):
         raise InvalidCertificate(message)
 
 
-def _base_case_factors(P: Poset, lab, t: int):
+def _base_case_factors(P: Poset, t: int, cache: _VDCache):
     """Factors for the all-ascending case: the spine simplex joined with a
     point layer per repeated-label gap."""
-    from . import labeling as lb
-
-    spine = lb.interval_spine(P, lab)
+    spine = cache.spine(P, P.bottom, P.top)
     if not isinstance(spine, lb.AscentSpine):
         raise InvalidCertificate(f"no spine in the base case: {spine}")
     interior = spine.elements[1:-1]
@@ -853,7 +954,7 @@ def _base_case_factors(P: Poset, lab, t: int):
     for u, v in zip(spine.elements, spine.elements[1:]):
         sub = interval(P, u, v)
         if sub.n > 2:
-            gap_complexes.append(order_complex(sub))
+            gap_complexes.append(cache.complex(sub))
     s = len(gap_complexes)
     r0 = max(-1, t - s)
     simplex = simplex_complex(interior) if interior else empty_complex()
@@ -867,7 +968,7 @@ def _base_case_factors(P: Poset, lab, t: int):
     return factors
 
 
-def _split_factors(P: Poset, lab, x: str, t: int):
+def _split_factors(P: Poset, x: str, t: int, cache: _VDCache):
     """Join factors for the link of the shed element: the lower interval at
     its own full complexity, the upper interval at what remains of t.
 
@@ -877,10 +978,8 @@ def _split_factors(P: Poset, lab, x: str, t: int):
     which ``constructive_vd_full`` checks at the root and every chain
     segment inherits.
     """
-    from . import labeling as lb
-
     bottom, top = P.elements[P.bottom], P.elements[P.top]
-    below = map(lab.stats, P.chains(P.bottom, P.idx(x)))
+    below = map(cache.stats, cache.chains(P, P.bottom, P.idx(x)))
     pairs = {(st.ell0, st.ell1) for st in below}
     if len(pairs) != 1:
         raise InvalidCertificate("lower interval has chain-dependent statistics")
@@ -889,11 +988,11 @@ def _split_factors(P: Poset, lab, x: str, t: int):
     factors = []
     for sub, level in ((interval(P, bottom, x), i + j - 2),
                        (interval(P, x, top), t - i - j)):
-        cxf = order_complex(sub)
+        cxf = cache.complex(sub)
         if level >= 0:
-            if level < cxf.dim and level + 2 > lb.min_chain_complexity(sub, lab)[0]:
+            if level < cxf.dim and level + 2 > cache.min_complexity(sub):
                 raise InvalidCertificate("interval target exceeds its bound")
-            factors.append(JoinFactor(cxf, level, _vd_rec(sub, cxf, lab, level)[1]))
+            factors.append(JoinFactor(cxf, level, _vd_rec(sub, level, cache, cxf)))
         else:
             factors.append(JoinFactor(cxf, -1, VDLeaf()))
     return factors

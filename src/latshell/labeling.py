@@ -232,11 +232,17 @@ def verify_quasi_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
     On success, returns the ascent spine of every interval of length >= 1.
     A violation records the interval and the offending chains.
     """
+    return _spine_verdict(P, lambda lo, hi: _interval_spine(P, lo, hi, lab))
+
+
+def _spine_verdict(P: Poset, spine_of) -> QuasiELResult:
+    """The relaxed verdict on ``P`` from ``spine_of(lo, hi)``, the spine or
+    Violation of each interval, taken in ``_intervals`` order."""
     P.require_bounded()
     spines = {}
     violations = []
     for xi, yi in _intervals(P):
-        out = _interval_spine(P, xi, yi, lab)
+        out = spine_of(xi, yi)
         if isinstance(out, Violation):
             violations.append(out)
         else:
@@ -252,8 +258,13 @@ def _intervals(P: Poset):
             yield xi, yi
 
 
-def _interval_spine(P: Poset, lo: int, hi: int, lab: EdgeLabeling):
+def _interval_spine(P: Poset, lo: int, hi: int, lab: EdgeLabeling,
+                    seqs: dict | None = None):
     """Spine of the interval [lo, hi] of ``P`` (indices), or a Violation.
+
+    ``seqs`` maps the maximal chains of the interval, in ``Poset.chains``
+    order, to their label sequences; by default they are walked and
+    labelled here.
 
     Every valid spine is a bottom-to-top subchain of the common refinement
     of the weakly ascending maximal chains, so candidates are enumerated
@@ -261,8 +272,9 @@ def _interval_spine(P: Poset, lo: int, hi: int, lab: EdgeLabeling):
     labels and whose extensions come strictly lexicographically first wins.
     """
     x, y = P.elements[lo], P.elements[hi]
-    chains = P.chains(lo, hi)
-    seqs = {c: lab.sequence(c) for c in chains}
+    if seqs is None:
+        seqs = {c: lab.sequence(c) for c in P.chains(lo, hi)}
+    chains = list(seqs)
     ascending = [c for c in chains if _weakly_ascending(seqs[c])]
     if not ascending:
         return Violation("no_ascending_chain", (x, y), ())

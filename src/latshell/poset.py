@@ -395,10 +395,17 @@ def order_complex(P: Poset):
     remove.  Every element of a bounded poset lies on a maximal chain, so
     the vertices are the proper elements in input order.
     """
+    P.require_bounded()
+    return chain_complex(P, P.maximal_chains_idx(), range(P.n))
+
+
+def chain_complex(P: Poset, chains, keys):
+    """``order_complex(P)`` from the maximal chains of ``P``, each given as
+    the tuple of ``keys[i]`` over its elements i (``keys`` is the indices
+    or ``P.elements``)."""
     from .complexes import SimplicialComplex
 
-    P.require_bounded()
     proper = [i for i in range(P.n) if i not in (P.bottom, P.top)]
-    bit = {i: 1 << v for v, i in enumerate(proper)}
-    facets = [sum(map(bit.__getitem__, c[1:-1])) for c in P.maximal_chains_idx()]
+    bit = {keys[i]: 1 << v for v, i in enumerate(proper)}
+    facets = [sum(map(bit.__getitem__, c[1:-1])) for c in chains]
     return SimplicialComplex([P.elements[i] for i in proper], facets)

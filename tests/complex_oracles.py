@@ -14,19 +14,47 @@ computes full homology of the link of every face, and ``reference_depth``
 reruns it on each skeleton from the minimum facet dimension down.  They are
 the kernels from before the facet-only shedding test and the one-sweep
 depth, with homology taken by the ``Fraction`` oracle above.
+
+``reference_delete_vertex`` maximalizes every F - v, as ``delete_vertex``
+did before it kept the facets that avoid v as they stand.
+``reference_constructive_vd_skeleton`` and ``reference_constructive_vd_full``
+are the constructive recursion before its per-call cache: every level
+walks its chains, computes their statistics, builds the order complex of
+each sub-poset and rechecks a deletion with ``verify_quasi_el``, whether
+or not an earlier branch of the same call did so already.
 """
 
 import itertools
 from fractions import Fraction
 
-from latshell.complexes import SimplicialComplex, _component_count
+from latshell import labeling as lb
+from latshell.complexes import (
+    RECHECK_LIMIT,
+    DescentPick,
+    JoinFactor,
+    SimplicialComplex,
+    VDLeaf,
+    VDNode,
+    _check_join,
+    _component_count,
+    _delete_element,
+    _maximalize,
+    cert_simplex_skeleton,
+    empty_complex,
+    join_skeleton_certificate,
+    simplex_complex,
+)
 from latshell.errors import (
+    AllChainsAscending,
+    InvalidCertificate,
     NotFacetPermutation,
+    RepeatRunTooLong,
     SelfCheckFailed,
+    TargetTooLarge,
     UnknownVertex,
     VoidComplex,
 )
-from latshell.poset import bits
+from latshell.poset import Chain, Poset, bits, interval, order_complex
 
 
 def reference_verify_shelling(cx: SimplicialComplex, order) -> bool:
@@ -174,3 +202,134 @@ def reference_depth(cx: SimplicialComplex, limit: int = 200000) -> int:
             return r
     raise SelfCheckFailed("depth", "the (-1)-skeleton is Cohen-Macaulay, "
                           "yet no skeleton down to it was")
+
+
+def reference_delete_vertex(cx: SimplicialComplex, v) -> SimplicialComplex:
+    if v not in cx.vindex:
+        raise UnknownVertex(repr(v))
+    bit = 1 << cx.vindex[v]
+    facets = _maximalize({f & ~bit for f in cx.facets})
+    return SimplicialComplex(cx.vertices, facets).compact()
+
+
+def reference_descent_pick(P: Poset, lab) -> DescentPick:
+    chains = P.chains()
+    stats = {c: lab.stats(c) for c in chains}
+    if all(stats[c].weakly_ascending for c in chains):
+        raise AllChainsAscending("every maximal chain is weakly ascending")
+    single = [c for c in chains if len(stats[c].descents) == 1]
+    if not single:
+        raise InvalidCertificate("descents exist but no single-descent chain; "
+                                 "labeling is not quasi-EL")
+    best = max(single, key=lambda c: (stats[c].labels,
+                                      tuple(P.idx(e) for e in c)))
+    x = stats[best].descents[0]
+    xi = P.idx(x)
+
+    for c in P.chains(P.bottom, xi):
+        if not lab.stats(c).weakly_ascending:
+            raise InvalidCertificate(
+                f"chain below descent element {x!r} is not ascending")
+
+    for c in chains:
+        if x in c:
+            k = c.index(x)
+            labels = stats[c].labels
+            if 0 < k < len(c) - 1 and labels[k - 1] < labels[k]:
+                raise InvalidCertificate(f"a chain strictly ascends through {x!r}")
+
+    for w in bits(P.cover_down[xi]):
+        for z in bits(P.cover_up[xi]):
+            between = P.up[w] & P.down[z] & ~(1 << w) & ~(1 << z) & ~(1 << xi)
+            if not between:
+                raise InvalidCertificate(
+                    f"cover pair through {x!r} has no bypass")
+    return DescentPick(Chain(best, maximal=True), x)
+
+
+def reference_constructive_vd_skeleton(P: Poset, lab, target_r: int):
+    if target_r < 1:
+        raise TargetTooLarge("target must be at least 1")
+    bound, _ = lb.min_chain_complexity(P, lab)
+    if target_r > bound:
+        raise TargetTooLarge(f"target {target_r} exceeds the bound {bound}")
+    return reference_vd_rec(P, order_complex(P), lab, target_r - 2)
+
+
+def reference_constructive_vd_full(P: Poset, lab):
+    for names in P.chains():
+        seq = lab.sequence(names)
+        for k in range(len(seq) - 2):
+            if seq[k] == seq[k + 1] == seq[k + 2]:
+                raise RepeatRunTooLong(names, seq[k])
+    cx = order_complex(P)
+    return cx, reference_vd_rec(P, cx, lab, cx.dim)[1]
+
+
+def reference_vd_rec(P: Poset, full: SimplicialComplex, lab, t: int):
+    t = min(t, full.dim)
+    cx = full.skeleton(t)
+    if len(cx.facets) <= 1:
+        return cx, VDLeaf()
+    try:
+        x = reference_descent_pick(P, lab).element
+    except AllChainsAscending:
+        factors = reference_base_case_factors(P, lab, t)
+        cert = join_skeleton_certificate(factors, t)
+        _check_join(factors, t, cx, "base case join does not match the skeleton")
+        return cx, cert
+
+    rest = _delete_element(P, x)
+    if P.n <= RECHECK_LIMIT and not lb.verify_quasi_el(rest, lab).ok:
+        raise InvalidCertificate(
+            f"restriction away from {x!r} lost the labeling axioms")
+    _, deletion = reference_vd_rec(rest, order_complex(rest), lab, t)
+    link_factors = reference_split_factors(P, lab, x, t)
+    _check_join(link_factors, t - 1, cx.link_of((x,)),
+                "link join does not match the complex link")
+    return cx, VDNode(x, deletion, join_skeleton_certificate(link_factors, t - 1))
+
+
+def reference_base_case_factors(P: Poset, lab, t: int):
+    spine = lb.interval_spine(P, lab)
+    if not isinstance(spine, lb.AscentSpine):
+        raise InvalidCertificate(f"no spine in the base case: {spine}")
+    interior = spine.elements[1:-1]
+    gap_complexes = []
+    for u, v in zip(spine.elements, spine.elements[1:]):
+        sub = interval(P, u, v)
+        if sub.n > 2:
+            gap_complexes.append(order_complex(sub))
+    s = len(gap_complexes)
+    r0 = max(-1, t - s)
+    simplex = simplex_complex(interior) if interior else empty_complex()
+    factors = [JoinFactor(simplex, r0, cert_simplex_skeleton(interior, r0))]
+    used = t - r0
+    for k, g in enumerate(gap_complexes):
+        if k < used:
+            factors.append(JoinFactor(g, 0, cert_simplex_skeleton(g.vertices, 0)))
+        else:
+            factors.append(JoinFactor(g, -1, VDLeaf()))
+    return factors
+
+
+def reference_split_factors(P: Poset, lab, x: str, t: int):
+    bottom, top = P.elements[P.bottom], P.elements[P.top]
+    below = map(lab.stats, P.chains(P.bottom, P.idx(x)))
+    pairs = {(st.ell0, st.ell1) for st in below}
+    if len(pairs) != 1:
+        raise InvalidCertificate("lower interval has chain-dependent statistics")
+    i, j = pairs.pop()
+
+    factors = []
+    for sub, level in ((interval(P, bottom, x), i + j - 2),
+                       (interval(P, x, top), t - i - j)):
+        cxf = order_complex(sub)
+        if level >= 0:
+            if level < cxf.dim and level + 2 > lb.min_chain_complexity(sub, lab)[0]:
+                raise InvalidCertificate("interval target exceeds its bound")
+            factors.append(JoinFactor(cxf, level,
+                                      reference_vd_rec(sub, cxf, lab, level)[1]))
+        else:
+            factors.append(JoinFactor(cxf, -1, VDLeaf()))
+    return factors

@@ -54,6 +54,12 @@ def n5_poset():
 
 def pi4_poset():
     """Partitions of {1,2,3,4} under refinement, finest at the bottom."""
+    return partition_poset(4)
+
+
+def partition_poset(n: int):
+    """Partitions of {1..n} under refinement, finest at the bottom, each
+    named by its blocks, as 12|3|4."""
 
     def parts(items):
         if not items:
@@ -69,7 +75,7 @@ def pi4_poset():
         return "|".join("".join(map(str, sorted(b)))
                         for b in sorted(p, key=min))
 
-    names = sorted({name(p) for p in parts([1, 2, 3, 4])},
+    names = sorted({name(p) for p in parts(list(range(1, n + 1)))},
                    key=lambda s: (-s.count("|"), s))
 
     def blocks(s):

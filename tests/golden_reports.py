@@ -144,6 +144,10 @@ def cases(workdir: str) -> list[tuple[str, list[str]]]:
             fh.write(text)
         for tag, argv in GROUP_COMMANDS:
             out.append((f"group {tag} {name}", argv + [path]))
+    # the trivial group, r = 0, which has no bouquet to compare
+    with open(os.path.join(workdir, "trivial.grp"), "w", encoding="utf-8") as fh:
+        fh.write("degree: 3\n")
+    out.append(("group thevenaz trivial", ["group", "thevenaz", "trivial.grp"]))
     for name, (P, chain) in _lattices().items():
         path = f"{name}.json"
         with open(os.path.join(workdir, path), "w", encoding="utf-8") as fh:

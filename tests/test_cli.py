@@ -185,6 +185,18 @@ def test_group_commands(tmp_path):
     assert body["ok"] is True and body["complement_chain_refinements"] == 3
 
 
+@pytest.mark.parametrize("text", ["degree: 3\n", "degree: 0\n"])
+def test_thevenaz_accepts_the_trivial_group(tmp_path, text):
+    # r = 0: the one-element lattice has no bouquet to compare
+    grp = tmp_path / "trivial.grp"
+    grp.write_text(text)
+    code, out = run(["group", "thevenaz", str(grp)])
+    assert code == 0
+    body = json.loads(out)["results"]
+    assert body["ok"] is True and body["r"] == 0
+    assert body["betti"] == {"-1": 1}
+
+
 def test_exit_code_2_on_parse_error(tmp_path):
     p = tmp_path / "cyclic.json"
     p.write_text(json.dumps({"elements": ["0", "a"],

@@ -1,0 +1,100 @@
+"""The constructive VD recursion with its per-call cache against the
+uncached recursion in ``complex_oracles``, and ``delete_vertex`` against
+the maximalizing oracle."""
+
+import hashlib
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latshell import complexes as cxm
+from latshell import labeling as lb
+from latshell import lattice_check, verify_chain_modularity
+from latshell.errors import InvalidCertificate, LatshellError
+
+import complex_oracles
+import vd_counts
+from complex_oracles import (
+    reference_constructive_vd_full,
+    reference_constructive_vd_skeleton,
+    reference_delete_vertex,
+)
+from conftest import divisor_poset
+from test_complexes import random_link_case
+from test_labeling_oracles import random_labeling
+from test_lattice_oracles import random_poset
+
+
+def _vd_outcome(fn, *args):
+    """The certificate's digest and the complex it certifies, or the
+    error's type and message."""
+    try:
+        cx, cert = fn(*args)
+    except LatshellError as exc:
+        return type(exc).__name__, str(exc)
+    return hashlib.sha256(repr(cert).encode()).hexdigest(), cx.facet_name_sets()
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_cached_recursion_matches_the_uncached_oracle(rng):
+    P = random_poset(rng)
+    lab = random_labeling(rng, P)
+    bound, _ = lb.min_chain_complexity(P, lab)
+    for t in range(1, bound + 2):
+        assert (_vd_outcome(cxm.constructive_vd_skeleton, P, lab, t)
+                == _vd_outcome(reference_constructive_vd_skeleton, P, lab, t)), t
+    assert (_vd_outcome(cxm.constructive_vd_full, P, lab)
+            == _vd_outcome(reference_constructive_vd_full, P, lab))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_cached_recheck_matches_verify_quasi_el(rng):
+    """The recheck of P less x reads the spines that P's intervals left in
+    the cache, and gives ``verify_quasi_el``'s whole result."""
+    P = random_poset(rng)
+    lab = random_labeling(rng, P)
+    cache = cxm._VDCache(lab)
+    lb._spine_verdict(P, lambda lo, hi: cache.spine(P, lo, hi))
+    for x in P.elements:
+        if x in (P.elements[P.bottom], P.elements[P.top]):
+            continue
+        try:
+            rest = cxm._delete_element(P, x)
+        except InvalidCertificate:
+            continue
+        got = lb._spine_verdict(rest, lambda lo, hi: cache.spine(rest, lo, hi))
+        want = lb.verify_quasi_el(rest, lab)
+        assert (got.ok, list(got.spines.items()), got.violations) == (
+            want.ok, list(want.spines.items()), want.violations), x
+
+
+def test_each_level_runs_once(monkeypatch):
+    """On D(180) the uncached recursion meets some (elements, t) in more
+    than one branch; the cached one runs each once."""
+    P, chain = divisor_poset(180)
+    row = vd_counts.counts(P, chain)
+    assert row["levels"] == row["distinct"] == 59
+    calls = []
+    uncached = complex_oracles.reference_vd_rec
+
+    def counted(P, full, lab, t):
+        calls.append((P.elements, min(t, full.dim)))
+        return uncached(P, full, lab, t)
+
+    monkeypatch.setattr(complex_oracles, "reference_vd_rec", counted)
+    L = lattice_check(P)
+    lab = lb.left_modular_labeling(L, verify_chain_modularity(L, chain))
+    reference_constructive_vd_skeleton(P, lab, lb.min_chain_complexity(P, lab)[0])
+    assert len(calls) == 69 and len(set(calls)) == 59
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_delete_vertex_matches_the_maximalizing_oracle(rng):
+    cx, _ = random_link_case(rng)
+    for v in cx.vertices:
+        got, want = cx.delete_vertex(v), reference_delete_vertex(cx, v)
+        assert got.vertices == want.vertices
+        assert got.facets == want.facets
