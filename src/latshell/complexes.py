@@ -43,7 +43,7 @@ from .errors import (
     VoidComplex,
 )
 from . import labeling as lb
-from .poset import Chain, Poset, bits, chain_complex, interval
+from .poset import Chain, Poset, bits, chain_complex, induced_covers
 
 
 class SimplicialComplex:
@@ -733,14 +733,16 @@ def lex_greatest_single_descent_chain(P: Poset, lab) -> DescentPick:
     the descent element everything ascends, no chain ascends through it,
     and every cover pair through it has a bypass.
     """
-    P.require_bounded()
-    return _descent_pick(P, _VDCache(lab))
+    cache = _VDCache(P, lab)
+    return _descent_pick(cache.root, cache)
 
 
-def _descent_pick(P: Poset, cache: _VDCache) -> DescentPick:
-    """``lex_greatest_single_descent_chain`` with chains and their
-    statistics read through ``cache``."""
-    chains = cache.chains(P, P.bottom, P.top)
+def _descent_pick(sub, cache: _VDCache) -> DescentPick:
+    """``lex_greatest_single_descent_chain`` of the sub-poset ``sub`` of
+    the cache's root, with chains and their statistics read through
+    ``cache``."""
+    P, (lo, _, mask) = cache.P, sub
+    chains = cache.chains(sub)
     stats = {c: cache.stats(c) for c in chains}
     if all(stats[c].weakly_ascending for c in chains):
         raise AllChainsAscending("every maximal chain is weakly ascending")
@@ -754,7 +756,7 @@ def _descent_pick(P: Poset, cache: _VDCache) -> DescentPick:
     x = stats[best].descents[0]
     xi = P.idx(x)
 
-    for c in cache.chains(P, P.bottom, xi):
+    for c in cache.chains(cache.interval(lo, xi, mask)):
         if not cache.stats(c).weakly_ascending:
             raise InvalidCertificate(
                 f"chain below descent element {x!r} is not ascending")
@@ -766,22 +768,23 @@ def _descent_pick(P: Poset, cache: _VDCache) -> DescentPick:
             if 0 < k < len(c) - 1 and labels[k - 1] < labels[k]:
                 raise InvalidCertificate(f"a chain strictly ascends through {x!r}")
 
-    for w in bits(P.cover_down[xi]):
-        for z in bits(P.cover_up[xi]):
-            between = P.up[w] & P.down[z] & ~(1 << w) & ~(1 << z) & ~(1 << xi)
-            if not between:
+    for w in bits(P.cover_down[xi] & mask):
+        for z in bits(P.cover_up[xi] & mask):
+            if not P.up[w] & P.down[z] & mask & ~(1 << w | 1 << z | 1 << xi):
                 raise InvalidCertificate(
                     f"cover pair through {x!r} has no bypass")
     return DescentPick(Chain(best, maximal=True), x)
 
 
-def _delete_element(P: Poset, x: str) -> Poset:
-    """P less x, refused when a cover of it is not a cover of P."""
-    rest = P.restrict(((1 << P.n) - 1) & ~(1 << P.idx(x)))
-    for a, b in rest.covers():
-        if not P.cover_up[P.index[a]] >> P.index[b] & 1:
+def _delete_element(P: Poset, mask: int, xi: int) -> int:
+    """The index mask ``mask`` less ``xi``, refused when a cover of the
+    subposet it induces is not a cover of P."""
+    rest = mask & ~(1 << xi)
+    for a, row in enumerate(induced_covers(P.up, rest)):
+        for b in bits(row & ~P.cover_up[a]):
             raise InvalidCertificate(
-                f"removing {x!r} created the new cover ({a!r}, {b!r})")
+                f"removing {P.elements[xi]!r} created the new cover "
+                f"({P.elements[a]!r}, {P.elements[b]!r})")
     return rest
 
 
@@ -791,33 +794,36 @@ RECHECK_LIMIT = 12
 
 
 class _VDCache:
-    """What one constructive call learns about the sub-posets it meets, so
-    that each fact is computed once: certificates by (elements, t), and
-    interval spines, chain lists and chain statistics by interval members
-    and by chain.  Sound only for restrictions of one root poset under one
-    labeling (see ``_vd_rec``)."""
+    """What one constructive call learns about the sub-posets of its root,
+    the bounded poset ``P``, so that each fact is computed once:
+    certificates by (mask, t), chain lists and spines by mask, and chain
+    statistics by chain.  A sub-poset is ``(lo, hi, mask)``, an index mask
+    over ``P`` with its bottom and top, whose covers are P's among its
+    members (see ``_vd_rec``); ``root`` is ``P`` itself."""
 
-    __slots__ = ("lab", "certs", "spines", "chain_lists", "chain_stats")
+    __slots__ = ("P", "root", "lab", "certs", "spines", "chain_lists", "chain_stats")
 
-    def __init__(self, lab):
+    def __init__(self, P: Poset, lab):
+        P.require_bounded()
+        self.P = P
+        self.root = (P.bottom, P.top, (1 << P.n) - 1)
         self.lab = lab
         self.certs = {}
         self.spines = {}
         self.chain_lists = {}
         self.chain_stats = {}
 
-    @staticmethod
-    def _members(P: Poset, lo: int, hi: int) -> tuple:
-        if lo == P.bottom and hi == P.top:
-            return P.elements
-        return tuple(map(P.elements.__getitem__, bits(P.up[lo] & P.down[hi])))
+    def interval(self, lo: int, hi: int, mask: int) -> tuple:
+        """The interval [lo, hi] of the sub-poset on ``mask``."""
+        return lo, hi, self.P.up[lo] & self.P.down[hi] & mask
 
-    def chains(self, P: Poset, lo: int, hi: int) -> list:
-        """The maximal chains of [lo, hi] of ``P``, as ``P.chains``."""
-        key = self._members(P, lo, hi)
-        out = self.chain_lists.get(key)
+    def chains(self, sub) -> list:
+        """The maximal chains of ``sub`` as tuples of names, in DFS order."""
+        out = self.chain_lists.get(sub[2])
         if out is None:
-            out = self.chain_lists[key] = P.chains(lo, hi)
+            name = self.P.elements.__getitem__
+            out = self.chain_lists[sub[2]] = [
+                tuple(map(name, c)) for c in self.P.maximal_chains_idx(*sub)]
         return out
 
     def stats(self, chain: tuple):
@@ -826,24 +832,22 @@ class _VDCache:
             out = self.chain_stats[chain] = self.lab.stats(chain)
         return out
 
-    def spine(self, P: Poset, lo: int, hi: int):
-        """The spine or Violation of [lo, hi] of ``P``, as
-        ``labeling._interval_spine``."""
-        key = self._members(P, lo, hi)
-        out = self.spines.get(key)
+    def spine(self, sub):
+        """The spine or Violation of ``sub``, as ``labeling.interval_spine``."""
+        out = self.spines.get(sub[2])
         if out is None:
-            seqs = {c: self.stats(c).labels for c in self.chains(P, lo, hi)}
-            out = self.spines[key] = lb._interval_spine(P, lo, hi, self.lab, seqs)
+            out = self.spines[sub[2]] = lb._interval_spine(
+                {c: self.stats(c).labels for c in self.chains(sub)})
         return out
 
-    def complex(self, P: Poset) -> SimplicialComplex:
-        """``order_complex(P)``, from the chains of ``P``."""
-        return chain_complex(P, self.chains(P, P.bottom, P.top), P.elements)
+    def complex(self, sub) -> SimplicialComplex:
+        """The order complex of ``sub``, from its chains."""
+        lo, hi, mask = sub
+        return chain_complex(self.P, self.chains(sub), mask & ~(1 << lo | 1 << hi))
 
-    def min_complexity(self, P: Poset) -> int:
-        """``labeling.min_chain_complexity(P, lab)[0]``."""
-        return min(st.ell0 + st.ell1 for st in
-                   map(self.stats, self.chains(P, P.bottom, P.top)))
+    def min_complexity(self, sub) -> int:
+        """``labeling.min_chain_complexity(., lab)[0]`` of ``sub``."""
+        return min(st.ell0 + st.ell1 for st in map(self.stats, self.chains(sub)))
 
 
 def constructive_vd_skeleton(P: Poset, lab, target_r: int):
@@ -854,80 +858,83 @@ def constructive_vd_skeleton(P: Poset, lab, target_r: int):
     """
     if target_r < 1:
         raise TargetTooLarge("target must be at least 1")
-    P.require_bounded()
-    cache = _VDCache(lab)
-    bound = cache.min_complexity(P)
+    cache = _VDCache(P, lab)
+    bound = cache.min_complexity(cache.root)
     if target_r > bound:
         raise TargetTooLarge(f"target {target_r} exceeds the bound {bound}")
-    return _vd_level(P, cache.complex(P), target_r - 2, cache)
+    return _vd_level(cache.root, cache.complex(cache.root), target_r - 2, cache)
 
 
 def constructive_vd_full(P: Poset, lab):
     """Certificate for the full order complex, valid when no maximal chain
     repeats a label more than twice in a row."""
-    P.require_bounded()
-    cache = _VDCache(lab)
-    for names in cache.chains(P, P.bottom, P.top):
+    cache = _VDCache(P, lab)
+    for names in cache.chains(cache.root):
         seq = cache.stats(names).labels
         for k in range(len(seq) - 2):
             if seq[k] == seq[k + 1] == seq[k + 2]:
                 raise RepeatRunTooLong(names, seq[k])
-    cx = cache.complex(P)
-    return cx, _vd_level(P, cx, cx.dim, cache)[1]
+    cx = cache.complex(cache.root)
+    return cx, _vd_level(cache.root, cx, cx.dim, cache)[1]
 
 
-def _vd_rec(P: Poset, t: int, cache: _VDCache, full=None):
-    """A certificate for skel_t of the order complex of ``P`` (``full``,
-    built here when not given), with t read as at most its dimension.
-    ``_vd_level`` builds it, once per (``P.elements``, t) of the call; the
-    root's own level is not stored, as every poset below it is smaller.
+def _vd_rec(sub, t: int, cache: _VDCache, full=None):
+    """A certificate for skel_t of the order complex of the sub-poset
+    ``sub`` (``full``, built here when not given), with t read as at most
+    its dimension.  ``_vd_level`` builds it, once per (mask, t) of the call;
+    the root's own level is not stored, as every poset below it is smaller.
 
-    That is exact.  Every poset the recursion meets is ``Poset.restrict``
-    of the root, a deletion or an interval of one met before, so its
-    elements keep the root's order and carry the order the root induces.
-    Its element tuple therefore fixes the poset: its covers, the DFS order
-    of its chains and of its intervals' chains, every interval spine, and
-    with t the certificate, whichever branch reaches it.  For the same
-    reason an interval's member names fix its chains and its spine, and a
-    chain's names fix its statistics, which is how ``_VDCache`` keys them.
-    A failure ends the call, so only results are stored.
+    That is exact.  Every poset the recursion meets is an interval or a
+    deletion of one met before, starting from the root, and is carried as
+    ``(lo, hi, mask)``: its members as an index mask over the root, with
+    its bottom and top.  Its covers are the root's cover rows ANDed with
+    its mask, by induction: the root's are; the covers of an interval are
+    the covers inside it; and a deletion keeps every cover between
+    remaining elements, while ``_delete_element`` refuses any new one.  So
+    the mask fixes the poset: its chains in DFS order are the root's walk
+    kept inside the mask (``Poset.maximal_chains_idx(lo, hi, within)``),
+    and with them its spine, its order complex, and with t its
+    certificate, whichever branch reaches it.  A chain's names fix its
+    statistics.  A failure ends the call, so only results are stored.
     """
-    key = (P.elements, t)
+    key = (sub[2], t)
     cert = cache.certs.get(key)
     if cert is None:
         cert = cache.certs[key] = _vd_level(
-            P, cache.complex(P) if full is None else full, t, cache)[1]
+            sub, cache.complex(sub) if full is None else full, t, cache)[1]
     return cert
 
 
-def _vd_level(P: Poset, full: SimplicialComplex, t: int, cache: _VDCache):
-    """skel_t of ``full``, the order complex of ``P``, with t read as at
-    most its dimension, and a certificate for it.  Sheds the descent element
-    x of the lexicographically greatest single-descent chain; the link of x
-    is the join of the order complexes of [0, x] and [x, 1].  With every
-    chain weakly ascending the complex is the join of
-    ``_base_case_factors``.  The deletion P less x is checked for new
-    covers on every visit, and, when P has at most ``RECHECK_LIMIT``
-    elements, verified again with the interval spines of the call."""
+def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
+    """skel_t of ``full``, the order complex of the sub-poset ``sub``, with
+    t read as at most its dimension, and a certificate for it.  Sheds the
+    descent element x of the lexicographically greatest single-descent
+    chain; the link of x is the join of the order complexes of [0, x] and
+    [x, 1].  With every chain weakly ascending the complex is the join of
+    ``_base_case_factors``.  The deletion of x is checked for new covers on
+    every visit, and, when ``sub`` has at most ``RECHECK_LIMIT`` elements,
+    verified again with the interval spines of the call."""
     t = min(t, full.dim)
     cx = full.skeleton(t)
     if len(cx.facets) <= 1:
         return cx, VDLeaf()
     try:
-        x = _descent_pick(P, cache).element
+        x = _descent_pick(sub, cache).element
     except AllChainsAscending:
-        factors = _base_case_factors(P, t, cache)
+        factors = _base_case_factors(sub, t, cache)
         cert = join_skeleton_certificate(factors, t)
         _check_join(factors, t, cx, "base case join does not match the skeleton")
         return cx, cert
 
-    rest = _delete_element(P, x)
-    if P.n <= RECHECK_LIMIT and not lb._spine_verdict(
-            rest, lambda lo, hi: cache.spine(rest, lo, hi)).ok:
+    lo, hi, mask = sub
+    xi = cache.P.index[x]
+    rest = _delete_element(cache.P, mask, xi)
+    if mask.bit_count() <= RECHECK_LIMIT and not lb._spine_verdict(
+            cache.P, rest, lambda a, b: cache.spine(cache.interval(a, b, rest))).ok:
         raise InvalidCertificate(
             f"restriction away from {x!r} lost the labeling axioms")
-    deletion = _vd_rec(rest, t, cache)
-    link_factors = _split_factors(P, x, t, cache)
+    deletion = _vd_rec((lo, hi, rest), t, cache)
+    link_factors = _split_factors(sub, xi, t, cache)
     _check_join(link_factors, t - 1, cx.link_of((x,)),
                 "link join does not match the complex link")
     return cx, VDNode(x, deletion, join_skeleton_certificate(link_factors, t - 1))
@@ -943,18 +950,18 @@ def _check_join(factors, t: int, expected: SimplicialComplex, message: str):
         raise InvalidCertificate(message)
 
 
-def _base_case_factors(P: Poset, t: int, cache: _VDCache):
+def _base_case_factors(sub, t: int, cache: _VDCache):
     """Factors for the all-ascending case: the spine simplex joined with a
     point layer per repeated-label gap."""
-    spine = cache.spine(P, P.bottom, P.top)
+    spine = cache.spine(sub)
     if not isinstance(spine, lb.AscentSpine):
         raise InvalidCertificate(f"no spine in the base case: {spine}")
     interior = spine.elements[1:-1]
     gap_complexes = []
     for u, v in zip(spine.elements, spine.elements[1:]):
-        sub = interval(P, u, v)
-        if sub.n > 2:
-            gap_complexes.append(cache.complex(sub))
+        gap = cache.interval(cache.P.index[u], cache.P.index[v], sub[2])
+        if gap[2].bit_count() > 2:
+            gap_complexes.append(cache.complex(gap))
     s = len(gap_complexes)
     r0 = max(-1, t - s)
     simplex = simplex_complex(interior) if interior else empty_complex()
@@ -968,9 +975,9 @@ def _base_case_factors(P: Poset, t: int, cache: _VDCache):
     return factors
 
 
-def _split_factors(P: Poset, x: str, t: int, cache: _VDCache):
-    """Join factors for the link of the shed element: the lower interval at
-    its own full complexity, the upper interval at what remains of t.
+def _split_factors(sub, xi: int, t: int, cache: _VDCache):
+    """Join factors for the link of the shed element xi: the lower interval
+    at its own full complexity, the upper interval at what remains of t.
 
     An interval taken below its dimension must not exceed its own chain
     complexity bound.  One taken whole needs no bound: the order complex
@@ -978,21 +985,20 @@ def _split_factors(P: Poset, x: str, t: int, cache: _VDCache):
     which ``constructive_vd_full`` checks at the root and every chain
     segment inherits.
     """
-    bottom, top = P.elements[P.bottom], P.elements[P.top]
-    below = map(cache.stats, cache.chains(P, P.bottom, P.idx(x)))
-    pairs = {(st.ell0, st.ell1) for st in below}
+    lo, hi, mask = sub
+    lower, upper = cache.interval(lo, xi, mask), cache.interval(xi, hi, mask)
+    pairs = {(st.ell0, st.ell1) for st in map(cache.stats, cache.chains(lower))}
     if len(pairs) != 1:
         raise InvalidCertificate("lower interval has chain-dependent statistics")
     i, j = pairs.pop()
 
     factors = []
-    for sub, level in ((interval(P, bottom, x), i + j - 2),
-                       (interval(P, x, top), t - i - j)):
-        cxf = cache.complex(sub)
+    for part, level in ((lower, i + j - 2), (upper, t - i - j)):
+        cxf = cache.complex(part)
         if level >= 0:
-            if level < cxf.dim and level + 2 > cache.min_complexity(sub):
+            if level < cxf.dim and level + 2 > cache.min_complexity(part):
                 raise InvalidCertificate("interval target exceeds its bound")
-            factors.append(JoinFactor(cxf, level, _vd_rec(sub, level, cache, cxf)))
+            factors.append(JoinFactor(cxf, level, _vd_rec(part, level, cache, cxf)))
         else:
             factors.append(JoinFactor(cxf, -1, VDLeaf()))
     return factors

@@ -124,17 +124,25 @@ def group_from_generators(degree: int, generators) -> PermGroup:
 # ---------------------------------------------------------------- parsing
 
 def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse cycle notation like ``(1 2)(3 4)`` (1-based, () is identity)."""
+    """Parse cycle notation like ``(1 2)(3 4)`` (1-based, () is identity):
+    disjoint cycles of integers, with nothing between them."""
     text = text.strip()
     perm = list(range(degree))
     if text in ("()", "e", ""):
         return tuple(perm)
     if not (text.startswith("(") and text.endswith(")")):
         raise NotAPermutation(f"bad cycle notation: {text!r}")
+    seen = set()
     for cyc in text[1:-1].split(")("):
-        pts = [int(t) - 1 for t in cyc.replace(",", " ").split()]
+        try:
+            pts = [int(t) - 1 for t in cyc.replace(",", " ").split()]
+        except ValueError:
+            raise NotAPermutation(f"bad cycle {cyc!r}: not a list of integers") from None
         if any(not 0 <= p < degree for p in pts) or len(set(pts)) != len(pts):
             raise NotAPermutation(f"bad cycle {cyc!r} for degree {degree}")
+        if seen.intersection(pts):
+            raise NotAPermutation(f"cycle {cyc!r} shares a point with an earlier cycle")
+        seen.update(pts)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             perm[a] = b
     return tuple(perm)

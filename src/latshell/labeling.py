@@ -232,16 +232,18 @@ def verify_quasi_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
     On success, returns the ascent spine of every interval of length >= 1.
     A violation records the interval and the offending chains.
     """
-    return _spine_verdict(P, lambda lo, hi: _interval_spine(P, lo, hi, lab))
+    return _spine_verdict(P, (1 << P.n) - 1,
+                          lambda lo, hi: _interval_spine(_sequences(P, lab, lo, hi)))
 
 
-def _spine_verdict(P: Poset, spine_of) -> QuasiELResult:
-    """The relaxed verdict on ``P`` from ``spine_of(lo, hi)``, the spine or
-    Violation of each interval, taken in ``_intervals`` order."""
+def _spine_verdict(P: Poset, mask: int, spine_of) -> QuasiELResult:
+    """The relaxed verdict on the subposet of ``P`` on the index mask
+    ``mask`` from ``spine_of(lo, hi)``, the spine or Violation of each of
+    its intervals, taken in ``_intervals`` order."""
     P.require_bounded()
     spines = {}
     violations = []
-    for xi, yi in _intervals(P):
+    for xi, yi in _intervals(P, mask):
         out = spine_of(xi, yi)
         if isinstance(out, Violation):
             violations.append(out)
@@ -250,31 +252,37 @@ def _spine_verdict(P: Poset, spine_of) -> QuasiELResult:
     return QuasiELResult(not violations, spines, tuple(violations))
 
 
-def _intervals(P: Poset):
-    """Every pair xi < yi of element indices: xi in input order, then the
-    strict up-set of xi in input order."""
-    for xi in range(P.n):
-        for yi in bits(P.up[xi] & ~(1 << xi)):
+def _intervals(P: Poset, mask: int):
+    """Every pair xi < yi of element indices in the index mask ``mask``: xi
+    in input order, then the strict up-set of xi within ``mask`` in input
+    order."""
+    for xi in bits(mask):
+        for yi in bits(P.up[xi] & mask & ~(1 << xi)):
             yield xi, yi
 
 
-def _interval_spine(P: Poset, lo: int, hi: int, lab: EdgeLabeling,
-                    seqs: dict | None = None):
-    """Spine of the interval [lo, hi] of ``P`` (indices), or a Violation.
+def _sequences(P: Poset, lab: EdgeLabeling, lo: int, hi: int) -> dict:
+    """The maximal chains of [lo, hi] (indices), in ``Poset.chains`` order,
+    mapped to their label sequences."""
+    return {c: lab.sequence(c) for c in P.chains(lo, hi)}
 
-    ``seqs`` maps the maximal chains of the interval, in ``Poset.chains``
-    order, to their label sequences; by default they are walked and
-    labelled here.
+
+def _interval_spine(seqs: dict):
+    """Spine of an interval, or a Violation, from ``seqs``: the interval's
+    maximal chains, in ``Poset.chains`` order, mapped to their label
+    sequences.
 
     Every valid spine is a bottom-to-top subchain of the common refinement
     of the weakly ascending maximal chains, so candidates are enumerated
     there, most merged first, and the first one whose gaps carry constant
     labels and whose extensions come strictly lexicographically first wins.
+    The labels of a gap [u, v] are read off the chains through u and v:
+    each step of such a chain between u and v is a cover inside [u, v], and
+    each cover inside [u, v] lies on such a chain (extend it down to u, up
+    to v, and on to the interval's ends).
     """
-    x, y = P.elements[lo], P.elements[hi]
-    if seqs is None:
-        seqs = {c: lab.sequence(c) for c in P.chains(lo, hi)}
     chains = list(seqs)
+    x, y = chains[0][0], chains[0][-1]
     ascending = [c for c in chains if _weakly_ascending(seqs[c])]
     if not ascending:
         return Violation("no_ascending_chain", (x, y), ())
@@ -290,7 +298,8 @@ def _interval_spine(P: Poset, lo: int, hi: int, lab: EdgeLabeling,
             spine = (finest[0],) + kept + (finest[-1],)
             gap_labels = []
             for u, v in zip(spine, spine[1:]):
-                labels = _labels_within(P, lab, P.index[u], P.index[v])
+                labels = {l for c in chains if u in c and v in c
+                          for l in seqs[c][c.index(u):c.index(v)]}
                 if len(labels) != 1:
                     gap_labels = None
                     break
@@ -322,21 +331,11 @@ def _weakly_ascending(seq) -> bool:
     return all(a <= b for a, b in zip(seq, seq[1:]))
 
 
-def _labels_within(P: Poset, lab: EdgeLabeling, lo: int, hi: int) -> set:
-    """Labels of all covers inside the interval [lo, hi] of ``P`` (indices)."""
-    members = P.up[lo] & P.down[hi]
-    out = set()
-    for i in bits(members):
-        for j in bits(P.cover_up[i] & members):
-            out.add(lab.label(P.elements[i], P.elements[j]))
-    return out
-
-
 def interval_spine(P: Poset, lab: EdgeLabeling):
     """Spine of the full bottom-to-top interval of a bounded poset; returns
     an AscentSpine or a Violation."""
     P.require_bounded()
-    return _interval_spine(P, P.bottom, P.top, lab)
+    return _interval_spine(_sequences(P, lab, P.bottom, P.top))
 
 
 def verify_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
@@ -345,17 +344,16 @@ def verify_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
     P.require_bounded()
     spines = {}
     violations = []
-    for xi, yi in _intervals(P):
+    for xi, yi in _intervals(P, (1 << P.n) - 1):
         x, y = P.elements[xi], P.elements[yi]
-        chains = P.chains(xi, yi)
-        seqs = {c: lab.sequence(c) for c in chains}
-        ascending = [c for c in chains if _weakly_ascending(seqs[c])]
+        seqs = _sequences(P, lab, xi, yi)
+        ascending = [c for c in seqs if _weakly_ascending(seqs[c])]
         if len(ascending) != 1:
             kind = "no_ascending_chain" if not ascending else "two_spines"
             violations.append(Violation(kind, (x, y), tuple(ascending[:2])))
             continue
         a = ascending[0]
-        if any(seqs[c] <= seqs[a] for c in chains if c != a):
+        if any(seqs[c] <= seqs[a] for c in seqs if c != a):
             violations.append(Violation("lex_order", (x, y), (a,)))
             continue
         spines[(x, y)] = AscentSpine(x, y, a, lab.sequence(a))
@@ -374,7 +372,7 @@ def verify_quasi_cl(P: Poset, rlab: RootedLabeling, max_elements: int = 40) -> Q
     violations = []
     spines = {}
     roots = [P.chains(P.bottom, xi) for xi in range(P.n)]
-    for xi, yi in _intervals(P):
+    for xi, yi in _intervals(P, (1 << P.n) - 1):
         for root in roots[xi]:
             out = _rooted_interval_spine(P, xi, yi, rlab, root)
             if isinstance(out, Violation):
@@ -443,7 +441,7 @@ def first_label_separation(P: Poset, lab: EdgeLabeling, pair=None):
     Checks the given interval, or all intervals, and returns violations.
     """
     P.require_bounded()
-    pairs = _intervals(P) if pair is None else [P.pair_idx(*pair)]
+    pairs = _intervals(P, (1 << P.n) - 1) if pair is None else [P.pair_idx(*pair)]
     out = []
     for xi, yi in pairs:
         x, y = P.elements[xi], P.elements[yi]

@@ -132,17 +132,19 @@ class Poset:
 
     # -- chain machinery --------------------------------------------------
 
-    def maximal_chains_idx(self, lo=None, hi=None) -> list[tuple[int, ...]]:
+    def maximal_chains_idx(self, lo=None, hi=None, within=None) -> list[tuple[int, ...]]:
         """All maximal chains of the interval [lo, hi] (default: bottom to
         top) as index tuples, in DFS order.  The covers of P inside [lo, hi]
         are those of the interval, so the walk up the cover rows within the
         down-set of hi gives the chains of ``interval(P, lo, hi)`` in order.
+        The walk keeps to the index mask ``within`` when it is given: these
+        are the chains of a subposet whose covers are P's among its members.
         """
         if lo is None or hi is None:
             self.require_bounded()
         lo = self.bottom if lo is None else lo
         hi = self.top if hi is None else hi
-        inside = self.down[hi]
+        inside = self.down[hi] if within is None else self.down[hi] & within
         out: list[tuple[int, ...]] = []
         stack = [lo]
 
@@ -396,16 +398,14 @@ def order_complex(P: Poset):
     the vertices are the proper elements in input order.
     """
     P.require_bounded()
-    return chain_complex(P, P.maximal_chains_idx(), range(P.n))
+    return chain_complex(P, P.chains(), (1 << P.n) - 1 & ~(1 << P.bottom | 1 << P.top))
 
 
-def chain_complex(P: Poset, chains, keys):
-    """``order_complex(P)`` from the maximal chains of ``P``, each given as
-    the tuple of ``keys[i]`` over its elements i (``keys`` is the indices
-    or ``P.elements``)."""
+def chain_complex(P: Poset, chains, proper: int):
+    """The order complex of a bounded subposet of ``P``, as ``order_complex``
+    builds it, from its maximal chains (tuples of names) and the index mask
+    ``proper`` of its proper part."""
     from .complexes import SimplicialComplex
 
-    proper = [i for i in range(P.n) if i not in (P.bottom, P.top)]
-    bit = {keys[i]: 1 << v for v, i in enumerate(proper)}
-    facets = [sum(map(bit.__getitem__, c[1:-1])) for c in chains]
-    return SimplicialComplex([P.elements[i] for i in proper], facets)
+    bit = {P.elements[i]: 1 << v for v, i in enumerate(bits(proper))}
+    return SimplicialComplex(bit, [sum(map(bit.__getitem__, c[1:-1])) for c in chains])

@@ -20,8 +20,11 @@ did before it kept the facets that avoid v as they stand.
 ``reference_constructive_vd_skeleton`` and ``reference_constructive_vd_full``
 are the constructive recursion before its per-call cache: every level
 walks its chains, computes their statistics, builds the order complex of
-each sub-poset and rechecks a deletion with ``verify_quasi_el``, whether
-or not an earlier branch of the same call did so already.
+each sub-poset as a ``Poset`` and rechecks a deletion with
+``verify_quasi_el``, whether or not an earlier branch of the same call did
+so already.  Its deletions go through ``lattice_oracles``' own
+``reference_delete_element``, so it shares no sub-poset code with the
+recursion it checks.
 """
 
 import itertools
@@ -37,7 +40,6 @@ from latshell.complexes import (
     VDNode,
     _check_join,
     _component_count,
-    _delete_element,
     _maximalize,
     cert_simplex_skeleton,
     empty_complex,
@@ -55,6 +57,8 @@ from latshell.errors import (
     VoidComplex,
 )
 from latshell.poset import Chain, Poset, bits, interval, order_complex
+
+from lattice_oracles import reference_delete_element
 
 
 def reference_verify_shelling(cx: SimplicialComplex, order) -> bool:
@@ -279,7 +283,7 @@ def reference_vd_rec(P: Poset, full: SimplicialComplex, lab, t: int):
         _check_join(factors, t, cx, "base case join does not match the skeleton")
         return cx, cert
 
-    rest = _delete_element(P, x)
+    rest = reference_delete_element(P, x)
     if P.n <= RECHECK_LIMIT and not lb.verify_quasi_el(rest, lab).ok:
         raise InvalidCertificate(
             f"restriction away from {x!r} lost the labeling axioms")

@@ -415,3 +415,12 @@ def test_negative_group_degree_exits_2(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body == {"error": "NotAPermutation",
                     "message": "degree -1 is negative"}
+
+
+def test_overlapping_cycles_exit_2(tmp_path, capsys):
+    grp = tmp_path / "overlap.grp"
+    grp.write_text("degree: 4\n(1 2)(1 3)\n")
+    assert main(["group", "lattice", str(grp)]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body == {"error": "NotAPermutation",
+                    "message": "cycle '1 3' shares a point with an earlier cycle"}

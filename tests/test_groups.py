@@ -76,6 +76,19 @@ def test_cycle_parsing():
     assert gm.parse_cycles("()", 3) == (0, 1, 2)
     with pytest.raises(NotAPermutation):
         gm.parse_cycles("(1 5)", 3)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(1 2)(1 3)", "cycle '1 3' shares a point with an earlier cycle"),
+    ("(1 2 3)(4 3)", "cycle '4 3' shares a point with an earlier cycle"),
+    ("(1 x)", "bad cycle '1 x': not a list of integers"),
+    ("(1 2) (3 4)", "bad cycle '1 2) (3 4': not a list of integers"),
+    ("((1 2))", "bad cycle '(1 2)': not a list of integers"),
+])
+def test_malformed_cycles_are_refused(text, message):
+    with pytest.raises(NotAPermutation) as exc:
+        gm.parse_cycles(text, 4)
+    assert str(exc.value) == message
     G = gm.parse_group_file("degree: 3\n(1 2)\n(1 2 3)\n")
     assert G.order == 6
 

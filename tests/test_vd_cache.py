@@ -55,17 +55,19 @@ def test_cached_recheck_matches_verify_quasi_el(rng):
     the cache, and gives ``verify_quasi_el``'s whole result."""
     P = random_poset(rng)
     lab = random_labeling(rng, P)
-    cache = cxm._VDCache(lab)
-    lb._spine_verdict(P, lambda lo, hi: cache.spine(P, lo, hi))
-    for x in P.elements:
-        if x in (P.elements[P.bottom], P.elements[P.top]):
+    cache = cxm._VDCache(P, lab)
+    full = (1 << P.n) - 1
+    lb._spine_verdict(P, full, lambda lo, hi: cache.spine(cache.interval(lo, hi, full)))
+    for xi, x in enumerate(P.elements):
+        if xi in (P.bottom, P.top):
             continue
         try:
-            rest = cxm._delete_element(P, x)
+            rest = cxm._delete_element(P, full, xi)
         except InvalidCertificate:
             continue
-        got = lb._spine_verdict(rest, lambda lo, hi: cache.spine(rest, lo, hi))
-        want = lb.verify_quasi_el(rest, lab)
+        got = lb._spine_verdict(
+            P, rest, lambda lo, hi: cache.spine(cache.interval(lo, hi, rest)))
+        want = lb.verify_quasi_el(P.restrict(rest), lab)
         assert (got.ok, list(got.spines.items()), got.violations) == (
             want.ok, list(want.spines.items()), want.violations), x
 
@@ -76,6 +78,7 @@ def test_each_level_runs_once(monkeypatch):
     P, chain = divisor_poset(180)
     row = vd_counts.counts(P, chain)
     assert row["levels"] == row["distinct"] == 59
+    assert row["posets"] == 0
     calls = []
     uncached = complex_oracles.reference_vd_rec
 

@@ -8,12 +8,14 @@ merges 12, 123, 1234, 12345, and the chief series) and r its chain
 complexity bound.  Per lattice it prints:
 
 - ``levels``: recursion levels run (``complexes._vd_level`` calls);
-- ``distinct``: their distinct (elements, t) keys;
+- ``distinct``: their distinct (mask, t) keys, a sub-poset's mask being
+  its members as an index mask over the root;
 - ``spines``: ``labeling._interval_spine`` calls;
 - ``stats``: chain statistics computed (``labeling.stats_of_sequence``);
 - ``walks``: chain walks (``Poset.maximal_chains_idx``);
 - ``complexes``: order complexes built (``poset.chain_complex`` calls,
   which ``order_complex`` makes too);
+- ``posets``: ``Poset`` objects built (``Poset.__init__`` calls);
 
 then the totals.  The counts are taken by wrapping those functions for the
 length of the call.
@@ -25,7 +27,8 @@ import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-COLUMNS = ("levels", "distinct", "spines", "stats", "walks", "complexes")
+COLUMNS = ("levels", "distinct", "spines", "stats", "walks", "complexes",
+           "posets")
 
 
 def lattices():
@@ -64,9 +67,9 @@ def counts(P, chain) -> dict:
             return fn(*args, **kwargs)
         return wrapped
 
-    def level(P, full, t, cache):
-        keys.append((P.elements, t))
-        return _vd_level(P, full, t, cache)
+    def level(sub, full, t, cache):
+        keys.append((sub[2], t))
+        return _vd_level(sub, full, t, cache)
 
     _vd_level = complexes._vd_level
     patches = [(complexes, "_vd_level", level)]
@@ -75,7 +78,8 @@ def counts(P, chain) -> dict:
             ("stats", labeling, "stats_of_sequence"),
             ("walks", poset.Poset, "maximal_chains_idx"),
             ("complexes", poset, "chain_complex"),
-            ("complexes", complexes, "chain_complex")):
+            ("complexes", complexes, "chain_complex"),
+            ("posets", poset.Poset, "__init__")):
         patches.append((owner, attr, counting(column, getattr(owner, attr))))
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
     try:
