@@ -2,12 +2,17 @@
 topological solvability criteria they support.
 
 Group elements are permutation tuples (0-based images).  Everything
-downstream indexes elements into a multiplication table.  Subgroups are
-enumerated one conjugacy class at a time: a representative of each class
-is extended by every cyclic subgroup of prime-power order, each extension
-is a Dimino coset closure on the table, and each new subgroup brings in
-its conjugates by table lookups.  The same closure builds generated
-subgroups and the derived series.
+downstream indexes elements into a multiplication table, whose rows are
+read off the generators' rows.  Subgroups are enumerated one conjugacy
+class at a time by Neubüser's cyclic extension method (Numer. Math. 2,
+1960): the representative H of each class is extended by one cyclic
+subgroup of prime-power order (a zuppo) per orbit of its normalizer N(H)
+on the zuppos outside H, since for n in N(H) the extension by z^n is the
+extension by z conjugated by n.  Each extension is a Dimino coset closure
+on the table, and each new subgroup brings in its conjugates, its
+generators and, by Schreier's lemma, its normalizer's generators from one
+walk of table lookups.  The same closure builds the derived series and
+checks the lattice's joins.
 """
 
 from __future__ import annotations
@@ -52,13 +57,6 @@ def _mul(p: Perm, q: Perm) -> Perm:
     return tuple(map(p.__getitem__, q))
 
 
-def _inv(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 class PermGroup:
     """A finite permutation group with its full element set."""
 
@@ -82,12 +80,32 @@ class PermGroup:
         return self._index[p]
 
     def table(self):
-        """Multiplication table on element indices (built on demand)."""
+        """Multiplication table on element indices (built on demand).
+
+        Only the generators' rows are permutation products.  As
+        (x.g).b = x.(g.b), the row of x.g is the row of x read along the
+        row of g, so a breadth-first walk from the identity's row reaches
+        every element's row.  An element's inverse is where its row holds
+        the identity.
+        """
         if self._table is None:
             idx = self._index
             els = self.elements
-            self._table = [[idx[_mul(a, b)] for b in els] for a in els]
-            self._inverse = [idx[_inv(a)] for a in els]
+            e = idx[self.identity]
+            gen_rows = [(idx[g], [idx[_mul(g, b)] for b in els])
+                        for g in dict.fromkeys(self.generators)]
+            rows = [None] * self.order
+            rows[e] = list(range(self.order))
+            frontier = [e]
+            for x in frontier:
+                row_x = rows[x]
+                for g, row_g in gen_rows:
+                    y = row_x[g]
+                    if rows[y] is None:
+                        rows[y] = list(map(row_x.__getitem__, row_g))
+                        frontier.append(y)
+            self._table = rows
+            self._inverse = [row.index(e) for row in rows]
         return self._table
 
     def inverse_indices(self):
@@ -125,7 +143,8 @@ def group_from_generators(degree: int, generators) -> PermGroup:
 
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse cycle notation like ``(1 2)(3 4)`` (1-based, () is identity):
-    disjoint cycles of integers, with nothing between them."""
+    disjoint cycles of points written in ASCII decimal digits, with nothing
+    between them.  An empty cycle stands only for the identity, alone."""
     text = text.strip()
     perm = list(range(degree))
     if text in ("()", "e", ""):
@@ -133,11 +152,14 @@ def parse_cycles(text: str, degree: int) -> Perm:
     if not (text.startswith("(") and text.endswith(")")):
         raise NotAPermutation(f"bad cycle notation: {text!r}")
     seen = set()
-    for cyc in text[1:-1].split(")("):
-        try:
-            pts = [int(t) - 1 for t in cyc.replace(",", " ").split()]
-        except ValueError:
-            raise NotAPermutation(f"bad cycle {cyc!r}: not a list of integers") from None
+    cycles = text[1:-1].split(")(")
+    for cyc in cycles:
+        tokens = cyc.replace(",", " ").split()
+        if not all(t.isascii() and t.isdigit() for t in tokens):
+            raise NotAPermutation(f"bad cycle {cyc!r}: not a list of integers")
+        if not tokens and len(cycles) > 1:
+            raise NotAPermutation(f"bad cycle {cyc!r}: empty cycle in a product")
+        pts = [int(t) - 1 for t in tokens]
         if any(not 0 <= p < degree for p in pts) or len(set(pts)) != len(pts):
             raise NotAPermutation(f"bad cycle {cyc!r} for degree {degree}")
         if seen.intersection(pts):
@@ -240,17 +262,38 @@ def _is_prime_power(n: int) -> bool:
 
 
 def subgroups(G: PermGroup, order_limit: int = ORDER_LIMIT) -> list[frozenset]:
-    """All subgroups, enumerated one conjugacy class at a time.
+    """All subgroups, enumerated one conjugacy class at a time by
+    Neubüser's cyclic extension method (Numer. Math. 2, 1960; see also
+    Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005), pruned by normalizer orbits.
 
-    Every subgroup is generated by the zuppos it contains (its cyclic
-    subgroups of prime-power order), and every K != 1 is <H, z> for a
-    maximal subgroup H < K and a zuppo <z> not inside H.  As H is conjugate
-    to a class representative H', some conjugate of K is <H', z'>.  So one
-    representative per class is extended by every zuppo, and each new
-    result brings in its whole conjugacy class, found by conjugating by the
-    group's generators through table lookups until the orbit closes.
+    A zuppo is a cyclic subgroup of prime-power order.  Every subgroup is
+    generated by the zuppos it contains, so every K != 1 is <H, z> for a
+    maximal subgroup H < K and a zuppo <z> of K not inside H.  By induction
+    on the order, H's class, with its representative H' = H^g, is found
+    before K, and K^g = <H', z'> with z' = z^g.  For n in the normalizer
+    N(H'), <H', z'^n> = <H', z'>^n, so extending H' by one zuppo per
+    N(H')-orbit reaches a conjugate of K, and with it K's class.  N(H')
+    maps H' to itself, so the zuppos inside H' form whole orbits and are
+    skipped.
 
     Returned as frozensets of permutations, sorted by (order, elements).
+    """
+    return [frozenset(G.elements[i] for i in members)
+            for members, _, _ in _subgroup_classes(G, order_limit)]
+
+
+def _subgroup_classes(G: PermGroup, order_limit: int) -> list[tuple]:
+    """The subgroups of ``subgroups(G)``, in its order, each as (frozenset
+    of table indices, element list with the identity first, generators).
+
+    Each new subgroup K brings in its whole class by conjugating with the
+    group's generators s through table lookups; a conjugate's generators
+    are K's, conjugated.  The walk records a transversal,
+    K_i = t_i K t_i^-1, and each time s sends K_i to a K_j seen before,
+    t_j^-1 s t_i normalizes K.  By Schreier's lemma these elements generate
+    N(K), and closing K by them gives N(K)'s generators.  The trivial
+    subgroup's normalizer is G, generated by G's generators.
     """
     if G.order > order_limit:
         raise OrderLimit(f"group order {G.order} exceeds the order limit "
@@ -259,45 +302,83 @@ def subgroups(G: PermGroup, order_limit: int = ORDER_LIMIT) -> list[frozenset]:
     inv = G.inverse_indices()
     e = G.index(G.identity)
 
-    zuppos = {}
+    # zuppos[k] generates the k-th zuppo; zuppo_of[x] = k for each x of
+    # prime-power order > 1 that generates it
+    zuppos = []
+    zuppo_of = [None] * G.order
+    seen = {}
     for i in range(G.order):
         cyclic = [e]
         x = i
         while x != e:
             cyclic.append(x)
             x = table[x][i]
-        key = frozenset(cyclic)
-        if len(cyclic) > 1 and _is_prime_power(len(cyclic)) and key not in zuppos:
-            zuppos[key] = i
+        if len(cyclic) > 1 and _is_prime_power(len(cyclic)):
+            key = frozenset(cyclic)
+            if key not in seen:
+                seen[key] = len(zuppos)
+                zuppos.append(i)
+            zuppo_of[i] = seen[key]
 
-    conjugators = []
-    for p in G.generators:
-        g = G.index(p)
-        conjugators.append([table[gh][inv[g]] for gh in table[g]])
+    def orbit_representatives(members, normalizer_gens):
+        """The first zuppo of each normalizer orbit outside ``members``."""
+        done = [False] * len(zuppos)
+        for h in members:
+            if zuppo_of[h] is not None:
+                done[zuppo_of[h]] = True
+        conj = [(table[n], inv[n]) for n in normalizer_gens]
+        for k, z in enumerate(zuppos):
+            if done[k]:
+                continue
+            done[k] = True
+            yield z
+            orbit = [z]
+            for x in orbit:
+                for row, n_inv in conj:
+                    k2 = zuppo_of[table[row[x]][n_inv]]
+                    if not done[k2]:
+                        done[k2] = True
+                        orbit.append(zuppos[k2])
 
+    gen_idx = [G.index(p) for p in G.generators]
+    conjugators = [(s, [table[sh][inv[s]] for sh in table[s]])
+                   for s in gen_idx]
     trivial = frozenset([e])
-    known = {trivial}
-    reps = [(trivial, [e], [])]
-    for members, elems, gens in reps:
-        for z in zuppos.values():
-            if z in members:
+    known = {trivial: ([e], [])}
+    reps = [(trivial, [e], [], None)]
+    for members, elems, gens, schreier in reps:
+        if len(members) == G.order:
+            continue
+        if schreier is None:
+            normalizer_gens = gen_idx
+        else:
+            normalizer_gens = _extend(table, members, elems, gens, schreier)[2]
+        for z in orbit_representatives(members, normalizer_gens):
+            K, K_elems, K_gens = _extend(table, members, elems, gens, (z,))
+            if K in known:
                 continue
-            K = _extend(table, members, elems, gens, (z,))
-            if K[0] in known:
-                continue
-            known.add(K[0])
-            reps.append(K)
-            orbit = [K[1]]
-            for conj_elems in orbit:
-                for c in conjugators:
-                    conj = [c[h] for h in conj_elems]
-                    key = frozenset(conj)
-                    if key not in known:
-                        known.add(key)
-                        orbit.append(conj)
+            orbit = [(K_elems, K_gens)]
+            where = {K: 0}
+            transversal = [e]
+            K_schreier = []
+            for i, (pts, pgens) in enumerate(orbit):
+                for s, c in conjugators:
+                    image = [c[h] for h in pts]
+                    key = frozenset(image)
+                    j = where.get(key)
+                    if j is None:
+                        where[key] = len(orbit)
+                        orbit.append((image, [c[g] for g in pgens]))
+                        transversal.append(table[s][transversal[i]])
+                    else:
+                        K_schreier.append(
+                            table[table[inv[transversal[j]]][s]][transversal[i]])
+            for key, j in where.items():
+                known[key] = orbit[j]
+            reps.append((K, K_elems, K_gens, K_schreier))
 
-    subs = sorted(known, key=lambda m: (len(m), sorted(m)))
-    return [frozenset(G.elements[i] for i in m) for m in subs]
+    ranked = sorted(known, key=lambda m: (len(m), sorted(m)))
+    return [(m, *known[m]) for m in ranked]
 
 
 def is_normal(G: PermGroup, H: frozenset) -> bool:
@@ -311,11 +392,6 @@ def is_normal(G: PermGroup, H: frozenset) -> bool:
             if table[row[h]][gi] not in members:
                 return False
     return True
-
-
-def _generated(table, e: int, seed) -> frozenset:
-    """Element indices of the subgroup generated by the indices in ``seed``."""
-    return _extend(table, {e}, [e], [], sorted(seed))[0]
 
 
 def is_solvable(G: PermGroup) -> bool:
@@ -373,17 +449,18 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLatti
     normal subgroups, and fix a deterministic chief series.
 
     Subgroups are held as sets and masks of ``G.table()`` indices.  Meets
-    are checked against intersections for all pairs; joins against the
-    closure of the two subgroups' indices for all pairs up to
-    ``JOIN_CHECK_LIMIT`` subgroups, and on a deterministic sample beyond
-    that.  Every normal subgroup must classify as two-sided modular, and
-    the chief series check reuses those reports.
+    are checked against intersections for all pairs; joins for all pairs
+    up to ``JOIN_CHECK_LIMIT`` subgroups, and on a deterministic sample
+    beyond that, against the larger subgroup closed by the smaller one's
+    generators, which the enumerator keeps.  Every normal subgroup must
+    classify as two-sided modular, and the chief series check reuses those
+    reports.
     """
-    subs = subgroups(G, order_limit)
+    classes = _subgroup_classes(G, order_limit)
+    members = [m for m, _, _ in classes]
+    subs = [frozenset(G.elements[i] for i in m) for m in members]
     n = len(subs)
     names = [f"H{i}" for i in range(n)]
-    elem_index = G._index
-    members = [frozenset(elem_index[p] for p in h) for h in subs]
     masks = [sum(1 << k for k in m) for m in members]
 
     # up[i]: the subgroups containing every element of H_i.  Subgroups are
@@ -409,9 +486,10 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLatti
     pairs = itertools.combinations(range(n), 2)
     if n > JOIN_CHECK_LIMIT:
         pairs = itertools.islice(pairs, 0, None, 97)
-    table, e = G.table(), G.index(G.identity)
+    table = G.table()
     for i, j in pairs:
-        if members[join[i][j]] != _generated(table, e, members[i] | members[j]):
+        # H_j is at least as large as H_i; close it by H_i's generators
+        if members[join[i][j]] != _extend(table, *classes[j], classes[i][2])[0]:
             raise SelfCheckFailed("join", f"join of {names[i]} and {names[j]} "
                                           "disagrees with generated subgroup")
 

@@ -424,3 +424,14 @@ def test_overlapping_cycles_exit_2(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body == {"error": "NotAPermutation",
                     "message": "cycle '1 3' shares a point with an earlier cycle"}
+
+
+def test_non_digit_cycle_points_exit_2(tmp_path, capsys):
+    # int() reads "1_0" as 10, so this file parsed as the transposition
+    # (2 10) of degree 12
+    grp = tmp_path / "underscore.grp"
+    grp.write_text("degree: 12\n(1_0 2)\n")
+    assert main(["group", "lattice", str(grp)]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body == {"error": "NotAPermutation",
+                    "message": "bad cycle '1_0 2': not a list of integers"}

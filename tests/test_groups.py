@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -24,13 +25,21 @@ from latshell import (
 )
 from latshell import groups as gm
 from latshell.cli import main
-from latshell.errors import NotAPermutation, NotSolvable, OrderLimit, SizeLimit
+from latshell.errors import (
+    NotAPermutation,
+    NotSolvable,
+    OrderLimit,
+    SelfCheckFailed,
+    SizeLimit,
+)
 from latshell.labeling import stats_of_sequence
 
+from group_counts import closures
 from group_oracles import (
     reference_generated_subgroup,
     reference_is_solvable,
     reference_subgroups,
+    reference_table,
 )
 
 GROUP_FILES = {
@@ -74,6 +83,8 @@ def test_cycle_parsing():
     p = gm.parse_cycles("(1 2)(3 4)", 4)
     assert p == (1, 0, 3, 2)
     assert gm.parse_cycles("()", 3) == (0, 1, 2)
+    # an empty cycle is the identity on its own, and refused in a product
+    assert gm.parse_cycles("( )", 3) == (0, 1, 2)
     with pytest.raises(NotAPermutation):
         gm.parse_cycles("(1 5)", 3)
 
@@ -84,6 +95,12 @@ def test_cycle_parsing():
     ("(1 x)", "bad cycle '1 x': not a list of integers"),
     ("(1 2) (3 4)", "bad cycle '1 2) (3 4': not a list of integers"),
     ("((1 2))", "bad cycle '(1 2)': not a list of integers"),
+    # points are ASCII decimal digits, not whatever int() reads
+    ("(1_0 2)", "bad cycle '1_0 2': not a list of integers"),
+    ("(+1 2)", "bad cycle '+1 2': not a list of integers"),
+    ("(\u0661 2)", "bad cycle '\u0661 2': not a list of integers"),
+    ("(1 2 3)(  )", "bad cycle '  ': empty cycle in a product"),
+    ("()()", "bad cycle '': empty cycle in a product"),
 ])
 def test_malformed_cycles_are_refused(text, message):
     with pytest.raises(NotAPermutation) as exc:
@@ -110,6 +127,54 @@ def test_subgroup_counts():
 def test_subgroups_match_reference(name):
     G, expected = reference(name)
     assert subgroups(G) == expected
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5", "A5", "PSL(2,7)", "C2^4",
+                                  "S4xC2"])
+def test_table_matches_reference(name):
+    gens = list(GROUPS[name]().generators)
+    shuffled = gens[::-1] + gens
+    random.Random(name).shuffle(shuffled)
+    for order in (gens, gens[::-1], shuffled):
+        G = gm.group_from_generators(len(gens[0]), order)
+        table, inverses = reference_table(G)
+        assert G.table() == table
+        assert G.inverse_indices() == inverses
+
+
+RELABELLED = {
+    "S4": lambda: gm.symmetric(4),
+    "D6": lambda: gm.dihedral(6),
+    "A5": lambda: gm.alternating(5),
+    "C2^4": lambda: gm.parse_group_file(GROUP_FILES["C2^4"]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(RELABELLED)), st.data())
+def test_subgroups_of_relabelled_groups_match_reference(name, data):
+    """The normalizer orbits come from Schreier generators, which depend
+    on the points' labels and on the generators' order and repeats."""
+    base = RELABELLED[name]()
+    n = base.degree
+    image = data.draw(st.permutations(range(n)))
+    gens = []
+    for g in base.generators:
+        h = [0] * n
+        for i in range(n):
+            h[image[i]] = image[g[i]]
+        gens.append(tuple(h))
+    extra = data.draw(st.lists(st.sampled_from(gens + [base.identity]),
+                               max_size=3))
+    G = gm.group_from_generators(n, data.draw(st.permutations(gens + extra)))
+    assert G.table() == reference_table(G)[0]
+    assert subgroups(G) == reference_subgroups(G)
+
+
+def test_s5_enumeration_closes_one_zuppo_per_normalizer_orbit():
+    # every zuppo outside each representative made 901 closures on S5
+    subs, calls = closures(subgroups, gm.symmetric(5))
+    assert len(subs) == 156 and calls <= 300
 
 
 def test_order_limit_message_and_gate():
@@ -140,7 +205,8 @@ S5 = gm.symmetric(5)
 @given(st.lists(st.integers(0, 119), max_size=4))
 def test_generated_subgroup_matches_reference(picks):
     seed = [S5.elements[i] for i in picks]
-    got = gm._generated(S5.table(), S5.index(S5.identity), picks)
+    e = S5.index(S5.identity)
+    got = gm._extend(S5.table(), {e}, [e], [], picks)[0]
     assert ({S5.elements[i] for i in got}
             == reference_generated_subgroup(S5, seed))
 
@@ -177,14 +243,41 @@ def test_group_lattice_report_is_deterministic(tmp_path):
 def test_self_check_failure_is_typed(tmp_path, monkeypatch, capsys):
     grp = tmp_path / "s3.grp"
     grp.write_text("degree: 3\n(1 2)\n(1 2 3)\n")
-    # the join check closes table indices; a closure that always returns
-    # the whole group disagrees with every join below the top
-    monkeypatch.setattr(gm, "_generated",
-                        lambda table, e, seed: frozenset(range(len(table))))
+    # the join check closes one subgroup by another's generators with
+    # _extend; once the subgroups are enumerated, a closure that always
+    # returns the whole group disagrees with every join below the top
+    enumerate_classes = gm._subgroup_classes
+
+    def enumerate_then_break(G, order_limit):
+        classes = enumerate_classes(G, order_limit)
+        monkeypatch.setattr(gm, "_extend", lambda table, members, elems, gens,
+                            new: (frozenset(range(len(table))), elems, gens))
+        return classes
+
+    monkeypatch.setattr(gm, "_subgroup_classes", enumerate_then_break)
     assert main(["group", "lattice", str(grp)]) == 1
     body = json.loads(capsys.readouterr().out)
     assert body["error"] == "SelfCheckFailed" and body["check"] == "join"
     assert "join" in body["message"]
+
+
+@pytest.mark.parametrize("name", ["S3", "S4"])
+def test_join_check_sees_a_dropped_generator(monkeypatch, name):
+    # H1 has order 2; without its generator, closing any larger subgroup
+    # that misses it gives that subgroup, not the join
+    enumerate_classes = gm._subgroup_classes
+
+    def drop_one(G, order_limit):
+        classes = enumerate_classes(G, order_limit)
+        members, elems, gens = classes[1]
+        assert len(members) == 2 and len(gens) == 1
+        classes[1] = (members, elems, gens[1:])
+        return classes
+
+    monkeypatch.setattr(gm, "_subgroup_classes", drop_one)
+    with pytest.raises(SelfCheckFailed) as info:
+        subgroup_lattice(GROUPS[name]())
+    assert info.value.check == "join"
 
 
 def test_subgroup_lattice_shapes(gl_s3, gl_a4):
