@@ -6,12 +6,15 @@ empty complex (one face, the empty set) and the void complex (no faces at
 all) are distinguished; both are accepted as decomposition leaves.
 Shelling orders are checked on those masks by the restriction-set form of
 the nonpure shelling condition (Bjorner-Wachs 1996), and Betti numbers are
-exact ranks over the rationals by integer column elimination.  A vertex is
-tested for shedding on facets alone (Provan-Billera 1980: v sheds iff no
-facet of lk(v) is a facet of del(v)).  Depth is one sweep over the faces
-by the link formula depth = min |s| + h(lk s), h the least degree of
-nonzero reduced rational homology (Munkres 1984), and a complex is
-Cohen-Macaulay iff it is pure with depth equal to its dimension.
+exact over the rationals: ranks taken over GF(2) on bitset columns, kept
+only when a parity certificate proves them rational, else integer column
+elimination.  A vertex is tested for shedding on facets alone
+(Provan-Billera 1980: v sheds iff no facet of lk(v) is a facet of del(v)).
+Depth is the link formula depth = min |s| + h(lk s), h the least degree of
+nonzero reduced rational homology (Munkres 1984), swept over the faces, or
+for an order complex a shortest path over the poset's intervals weighted
+by their homology; a complex is Cohen-Macaulay iff it is pure with depth
+equal to its dimension.
 
 The constructive decomposition of order complexes is one lexicographic
 recursion for every skeleton, the whole complex being the skeleton at its
@@ -43,7 +46,7 @@ from .errors import (
     VoidComplex,
 )
 from . import labeling as lb
-from .poset import Chain, Poset, bits, chain_complex, induced_covers
+from .poset import Chain, Poset, bits, chain_complex
 
 
 class SimplicialComplex:
@@ -241,6 +244,20 @@ class SimplicialComplex:
         shift = self.n_vertices
         facets = {f | (g << shift) for f in self.facets for g in other.facets}
         return SimplicialComplex(vertices, facets)
+
+
+class OrderComplex(SimplicialComplex):
+    """The order complex of the bounded poset ``poset``, as
+    ``poset.order_complex`` builds it.  It is that simplicial complex, equal
+    to any complex with the same facets; the poset is kept so that ``depth``
+    can read it off interval homology and ``betti_numbers`` can check the
+    Mobius function."""
+
+    __slots__ = ("poset",)
+
+    def __init__(self, poset: Poset, vertices, facets):
+        super().__init__(vertices, facets)
+        self.poset = poset
 
 
 def _subsets(mask: int, k: int):
@@ -441,23 +458,90 @@ def _extends_shelling(earlier, fk: int) -> bool:
 def betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
     """Reduced Betti numbers over the rationals, for -1 <= i <= dim.
 
-    Boundary ranks are exact: dimension-one boundaries via connected
-    components, higher ones by integer column elimination (see
-    ``_boundary_rank``); no rank is taken modulo a prime.
+    The boundary ranks from dimension 2 up are first taken over GF(2)
+    (``_rank_mod2``); those from dimensions 0 and 1 are exact, through the
+    augmentation and the connected components.  The mod-2 numbers are
+    returned only when they are certified equal to the rational ones,
+    else every rank is taken again by exact integer elimination
+    (``_boundary_rank``).
+
+    The certificate.  A square submatrix of a boundary matrix with nonzero
+    determinant mod 2 has nonzero determinant over Z, so rank_2 <= rank_Q
+    in each dimension, and d_k = beta_2,k - beta_Q,k >= 0 in each degree,
+    being a sum of rank differences.  Both sets of numbers sum, with signs
+    (-1)^k, to the reduced Euler characteristic, so sum (-1)^k d_k = 0.
+    Ranks in dimensions 0 and 1 agree, so d_-1 = d_0 = 0, and d_k > 0
+    needs beta_2,k > 0.  When every degree k >= 1 with beta_2,k > 0 has
+    the same parity, the nonzero d_k all carry one sign and sum to zero,
+    so all vanish.  RP^2 fails it: beta_2 = (0, 0, 1, 1) over GF(2).
+
+    For the order complex of a bounded poset with 0 < 1 the numbers are
+    checked against Philip Hall's theorem, sum (-1)^k beta_k = mu(0, 1),
+    with mu from the down-set rows; this sees a wrong face count, not a wrong
+    rank, as a rank enters two adjacent degrees with opposite signs.
     """
     if cx.is_void:
         return {}
     fbd = cx.faces_by_dim(limit=limit)
-    dim = cx.dim
-    counts = {k: len(fbd.get(k, [])) for k in range(-1, dim + 1)}
-    ranks = {}
-    for k in range(0, dim + 1):
-        ranks[k] = _boundary_rank(cx, fbd, k)
-    ranks[dim + 1] = 0
-    out = {}
-    for k in range(-1, dim + 1):
-        out[k] = counts[k] - ranks.get(k, 0) - ranks[k + 1]
+    out = _betti(cx, fbd, _rank_mod2)
+    if len({k % 2 for k, b in out.items() if b and k > 0}) > 1:
+        out = _betti(cx, fbd, _boundary_rank)
+    if isinstance(cx, OrderComplex) and cx.poset.bottom != cx.poset.top:
+        chi = sum(b if k % 2 == 0 else -b for k, b in out.items())
+        mu = _mobius(cx.poset)
+        if chi != mu:
+            raise SelfCheckFailed("mobius", f"the Betti numbers sum to {chi} "
+                                            f"with signs, but mu(0, 1) = {mu}")
     return out
+
+
+def _betti(cx, fbd, rank) -> dict:
+    """Reduced Betti numbers from the faces by dimension ``fbd`` and the
+    boundary ranks ``rank(cx, fbd, k)``."""
+    dim = cx.dim
+    ranks = {k: rank(cx, fbd, k) for k in range(dim + 1)}
+    ranks[dim + 1] = 0
+    return {k: len(fbd.get(k, [])) - ranks.get(k, 0) - ranks[k + 1]
+            for k in range(-1, dim + 1)}
+
+
+def _rank_mod2(cx, fbd, k: int) -> int:
+    """Rank over GF(2) of the boundary map from k-faces to (k-1)-faces;
+    for k <= 1 the exact rank of ``_boundary_rank``.
+
+    Each column is a Python int with one bit per (k-1)-face, its pivot is
+    its highest set bit, read in constant time by ``int.bit_length``, and a
+    column is reduced by XOR with the column holding its pivot."""
+    if k <= 1 or not fbd.get(k):
+        return _boundary_rank(cx, fbd, k)
+    rows = {m: 1 << i for i, m in enumerate(fbd[k - 1])}
+    pivots = {}
+    for m in fbd[k]:
+        col = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            col |= rows[m ^ low]
+            rest ^= low
+        while col:
+            top = col.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = col
+                break
+            col ^= pivot
+    return len(pivots)
+
+
+def _mobius(P) -> int:
+    """mu(0, 1) of the bounded poset ``P``: mu(0, 0) = 1 and mu(0, y) is
+    minus the sum of mu(0, z) over 0 <= z < y, read off the down-set rows
+    in topological order."""
+    mu = [0] * P.n
+    for y in P._topo():
+        below = P.down[y] & ~(1 << y)
+        mu[y] = 1 if y == P.bottom else -sum(mu[z] for z in bits(below))
+    return mu[P.top]
 
 
 def _boundary_rank(cx, fbd, k: int) -> int:
@@ -561,21 +645,32 @@ def depth(cx: SimplicialComplex, limit: int = 200000) -> int:
     """Largest r with a Cohen-Macaulay r-skeleton; bounded by the minimum
     facet dimension m.
 
-    One sweep over the faces by the link formula (Munkres, *Topological
-    results in combinatorics*, 1984): with h(K) the least i such that
-    reduced rational homology H_i(K) is nonzero, depth is the minimum over
-    faces s of |s| + h(lk s).  The link of s in the r-skeleton is the
-    (r - |s|)-skeleton of lk s, and a skeleton keeps the homology below its
-    top degree, so Reisner's criterion for the r-skeleton reads
-    |s| + h(lk s) >= r.  A facet F gives |F| - 1 through H_-1 of the empty
-    complex, hence the bound m.
+    The link formula (Munkres, *Topological results in combinatorics*,
+    1984): with h(K) the least i such that reduced rational homology
+    H_i(K) is nonzero, depth is the minimum over faces s of |s| + h(lk s).
+    The link of s in the r-skeleton is the (r - |s|)-skeleton of lk s, and
+    a skeleton keeps the homology below its top degree, so Reisner's
+    criterion for the r-skeleton reads |s| + h(lk s) >= r.  A facet F
+    gives |F| - 1 through H_-1 of the empty complex, hence the bound m.
 
-    Faces are visited in increasing size while |s| is below the best bound
-    so far, and the homology of lk s is computed only through its
-    (best - |s|)-skeleton; at 1 only the link's connectivity matters.  The
-    empty face comes first, with the m-skeleton of the whole complex, so
+    The join/path formula, for the order complex of a bounded poset.  The
+    link of the chain x_1 < ... < x_k is the join D(0, x_1) * D(x_1, x_2)
+    * ... * D(x_k, 1) of the order complexes of the open intervals
+    (Baclawski, *Cohen-Macaulay ordered sets*, 1980), and h(A * B) =
+    h(A) + h(B) + 1 over a field by the Kunneth formula for joins, h being
+    infinite for an acyclic complex.  So |s| + h(lk s) = k + sum
+    h(y_i, y_i+1) + k is sum (h(y_i, y_i+1) + 2) - 2 over the k + 1 steps
+    of the chain 0 = y_0 < ... < y_k+1 = 1, and depth is the shortest path
+    from 0 to 1 over the pairs a < b weighted h(a, b) + 2, less 2.  A cover
+    weighs 1, as D(a, b) is then the empty complex, and an acyclic interval
+    gives no edge.
+
+    The empty face comes first, with the m-skeleton of the whole complex, so
     for m >= 1 an m-skeleton of more than ``limit`` faces raises
-    ``SizeLimit``.
+    ``SizeLimit``; no later step can, as every face it counts is a face of
+    that skeleton.  The other faces are then swept by ``_face_depth``, or,
+    for an ``OrderComplex``, read off interval homology by ``_poset_depth``
+    along the formula above.
     """
     if cx.is_void:
         raise VoidComplex("depth of the void complex is undefined")
@@ -583,6 +678,23 @@ def depth(cx: SimplicialComplex, limit: int = 200000) -> int:
     best = m
     if m >= 1:
         best = _homology_floor(cx.skeleton(m), m, limit)
+    if isinstance(cx, OrderComplex):
+        best = _poset_depth(cx.poset, best, limit)
+    else:
+        best = _face_depth(cx, best, limit)
+    if not -1 <= best <= m:
+        raise SelfCheckFailed("depth", f"the link sweep gave {best}, "
+                              f"outside -1..{m}")
+    return best
+
+
+def _face_depth(cx: SimplicialComplex, best: int, limit: int) -> int:
+    """The least of ``best`` and |s| + h(lk s) over the nonempty faces s.
+
+    Faces are visited in increasing size while |s| is below the best bound
+    so far, and the homology of lk s is computed only through its
+    (best - |s|)-skeleton; at 1 only the link's connectivity matters.
+    """
     size = 1
     while size < best:
         for sigma in {s for f in cx.facets for s in _subsets(f, size)}:
@@ -599,10 +711,77 @@ def depth(cx: SimplicialComplex, limit: int = 200000) -> int:
                 h = _homology_floor(lk, k, limit)
             best = min(best, size + h)
         size += 1
-    if not -1 <= best <= m:
-        raise SelfCheckFailed("depth", f"the link sweep gave {best}, "
-                              f"outside -1..{m}")
     return best
+
+
+def _poset_depth(P: Poset, best: int, limit: int) -> int:
+    """The least of ``best`` and |s| + h(lk s) over the nonempty faces s of
+    the order complex of the bounded poset ``P``, from interval homology.
+
+    The terms are the paths of the join/path formula in ``depth`` but the
+    one-step path (0, 1), which is the empty face, whose term ``best``
+    holds.
+    Pairs are relaxed in topological order.  Every step weighs at least 1,
+    and a step that is not a cover at least 2, so the rest of a path from b
+    to 1 weighs at least tail(b): 0 at the top, 1 at an element the top
+    covers, and 2 elsewhere.  A path through a < b, with d(a) the distance to a so far,
+    then costs at least d(a) + h(a, b) + 2 + tail(b), and beats ``best``
+    only when h(a, b) < K for K = best - d(a) - tail(b).  A non-cover pair
+    has h >= 0, so it is read only when K >= 1, and then only through the
+    K-skeleton of its interval, by connectivity at K = 1
+    (``_interval_floor``); an h of K or more gives no edge.  Every edge
+    kept is exact, and every edge of a path that beats ``best`` is kept, by
+    induction along the path, so the result is exact.  For the same reason
+    an element a with d(a) + tail(a) - 2 >= best is passed over.
+    """
+    top = P.top
+    tail = [2] * P.n
+    for c in bits(P.cover_down[top]):
+        tail[c] = 1
+    tail[top] = 0
+    dist = [None] * P.n
+    dist[P.bottom] = 0
+    for a in P._topo():
+        d = dist[a]
+        if d is None or d + tail[a] - 2 >= best:
+            continue
+        for b in bits(P.up[a] & ~(1 << a)):
+            if P.cover_up[a] >> b & 1:
+                w = 1
+            elif a == P.bottom and b == top:
+                continue
+            else:
+                k = best - d - tail[b]
+                if k < 1:
+                    continue
+                h = _interval_floor(P, a, b, k, limit)
+                if h >= k:
+                    continue
+                w = h + 2
+            if b == top:
+                best = min(best, d + w - 2)
+            elif dist[b] is None or d + w < dist[b]:
+                dist[b] = d + w
+    return best
+
+
+def _interval_floor(P: Poset, a: int, b: int, k: int, limit: int) -> int:
+    """The least i < k with a nonzero reduced Betti number of the order
+    complex of the open interval (a, b) of ``P``, else k; a < b is not a
+    cover and k >= 1.  At k = 1 only connectivity matters, read off the
+    comparability of the interval's elements; above, the complex is built
+    from the interval's maximal chains and cut to its k-skeleton."""
+    inside = P.up[a] & P.down[b] & ~(1 << a | 1 << b)
+    if k == 1:
+        return 1 if _is_connected([(P.up[x] | P.down[x]) & inside
+                                   for x in bits(inside)]) else 0
+    pos = {x: 1 << v for v, x in enumerate(bits(inside))}
+    lk = SimplicialComplex([P.elements[x] for x in pos],
+                           [sum(map(pos.__getitem__, c[1:-1]))
+                            for c in P.maximal_chains_idx(a, b)])
+    if lk.dim > k:
+        lk = lk.skeleton(k)
+    return _homology_floor(lk, k, limit)
 
 
 def _homology_floor(cx: SimplicialComplex, k: int, limit: int) -> int:
@@ -778,13 +957,25 @@ def _descent_pick(sub, cache: _VDCache) -> DescentPick:
 
 def _delete_element(P: Poset, mask: int, xi: int) -> int:
     """The index mask ``mask`` less ``xi``, refused when a cover of the
-    subposet it induces is not a cover of P."""
+    subposet it induces is not a cover of P.
+
+    Only the pairs through x need a look.  The covers of ``mask`` are P's
+    among its members (see ``_vd_rec``).  A cover (a, b) of the deletion
+    that is not one of P is then no cover of ``mask`` either, so some
+    member lies strictly between a and b, and that member is x, for any
+    other would still lie between them.  Nothing else does, so a < x < b
+    are covers of ``mask``: a covers down to x, b covers up from x, and
+    the pair has no bypass.  ``_descent_pick`` refuses such a pair first,
+    so on the recursion's path this check cannot fire; neither VD sweep in
+    the tests reaches its message.
+    """
     rest = mask & ~(1 << xi)
-    for a, row in enumerate(induced_covers(P.up, rest)):
-        for b in bits(row & ~P.cover_up[a]):
-            raise InvalidCertificate(
-                f"removing {P.elements[xi]!r} created the new cover "
-                f"({P.elements[a]!r}, {P.elements[b]!r})")
+    for a in bits(P.cover_down[xi] & mask):
+        for b in bits(P.cover_up[xi] & mask):
+            if not P.up[a] & P.down[b] & rest & ~(1 << a | 1 << b):
+                raise InvalidCertificate(
+                    f"removing {P.elements[xi]!r} created the new cover "
+                    f"({P.elements[a]!r}, {P.elements[b]!r})")
     return rest
 
 

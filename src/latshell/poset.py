@@ -395,10 +395,14 @@ def order_complex(P: Poset):
     chains are pairwise incomparable as sets (a chain inside another could
     be extended), so they are the facets as they stand, with nothing to
     remove.  Every element of a bounded poset lies on a maximal chain, so
-    the vertices are the proper elements in input order.
+    the vertices are the proper elements in input order.  The result is an
+    ``OrderComplex``, which keeps ``P``.
     """
+    from .complexes import OrderComplex
+
     P.require_bounded()
-    return chain_complex(P, P.chains(), (1 << P.n) - 1 & ~(1 << P.bottom | 1 << P.top))
+    cx = chain_complex(P, P.chains(), (1 << P.n) - 1 & ~(1 << P.bottom | 1 << P.top))
+    return OrderComplex(P, cx.vertices, cx.facets)
 
 
 def chain_complex(P: Poset, chains, proper: int):

@@ -8,6 +8,10 @@ with the pairwise test inline.  They are kept as they were before the
 kernels moved to the restriction-set predicate and integer pivots, so they
 share no arithmetic with the routines they check.
 
+``reference_betti_numbers`` also takes its ranks over GF(2) on request,
+so that the tests can tell which numbers the library's parity certificate
+should accept.
+
 ``reference_shedding_failure_witness`` tries every face through the vertex
 and scans all facets for an exchange vertex; ``reference_is_cohen_macaulay``
 computes full homology of the link of every face, and ``reference_depth``
@@ -79,8 +83,10 @@ def reference_verify_shelling(cx: SimplicialComplex, order) -> bool:
     return True
 
 
-def reference_betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
-    """Reduced Betti numbers over the rationals with ``Fraction`` ranks."""
+def reference_betti_numbers(cx: SimplicialComplex, limit: int = 200000,
+                            mod2: bool = False) -> dict:
+    """Reduced Betti numbers over the rationals with ``Fraction`` ranks, or
+    over GF(2) with ``mod2``."""
     if cx.is_void:
         return {}
     fbd = cx.faces_by_dim(limit=limit)
@@ -88,7 +94,7 @@ def reference_betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
     counts = {k: len(fbd.get(k, [])) for k in range(-1, dim + 1)}
     ranks = {}
     for k in range(0, dim + 1):
-        ranks[k] = reference_boundary_rank(cx, fbd, k)
+        ranks[k] = reference_boundary_rank(cx, fbd, k, mod2)
     ranks[dim + 1] = 0
     out = {}
     for k in range(-1, dim + 1):
@@ -96,7 +102,9 @@ def reference_betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
     return out
 
 
-def reference_boundary_rank(cx, fbd, k: int) -> int:
+def reference_boundary_rank(cx, fbd, k: int, mod2: bool = False) -> int:
+    """Rank of the boundary map from k-faces over the rationals, or over
+    GF(2) with ``mod2``, where every sign is 1 and 1 + 1 = 0."""
     faces_k = fbd.get(k, [])
     if not faces_k:
         return 0
@@ -112,13 +120,15 @@ def reference_boundary_rank(cx, fbd, k: int) -> int:
         vs = list(bits(m))
         for j, v in enumerate(vs):
             sub = m & ~(1 << v)
-            col[rows[sub]] = Fraction((-1) ** j)
+            col[rows[sub]] = Fraction(1 if mod2 else (-1) ** j)
         while col:
             r = min(col)
             if r in pivots:
                 coef = col[r]
                 for rr, val in pivots[r].items():
                     col[rr] = col.get(rr, Fraction(0)) - coef * val
+                    if mod2:
+                        col[rr] %= 2
                     if not col[rr]:
                         del col[rr]
             else:

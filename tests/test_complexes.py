@@ -62,6 +62,8 @@ from complex_oracles import (
     reference_verify_shelling,
 )
 from conftest import left_modular_maximal_chains, subset_poset
+from latshell.poset import from_up
+from test_lattice_oracles import random_poset
 
 
 def points(*names):
@@ -445,8 +447,14 @@ def test_rp2_has_no_rational_homology(monkeypatch):
                         lambda col: divisions.append(1) or divide(col))
     assert betti_numbers(rp2) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert divisions == [1], "RP^2 should make one pivot other than +-1"
-    # the cone's columns are reduced against that pivot, and it is contractible
+    # the cone is acyclic mod 2 as well, so its numbers are certified
+    # without the integer kernel
     assert betti_numbers(cone) == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0}
+    assert divisions == [1]
+    # in the integer kernel the cone's columns are reduced against that
+    # pivot, and it is contractible
+    fbd = cone.faces_by_dim()
+    assert [cxm._boundary_rank(cone, fbd, k) for k in range(4)] == [1, 6, 15, 10]
     assert len(divisions) > 2
     for cx in (rp2, cone):
         assert reference_betti_numbers(cx) == betti_numbers(cx)
@@ -594,6 +602,194 @@ def test_shelling_predicate_matches_pairwise_oracle(rng):
 def test_betti_numbers_match_fraction_oracle(rng):
     cx = random_complex(rng, max_facets=8)
     assert betti_numbers(cx) == reference_betti_numbers(cx)
+
+
+def _betti_and_path(cx):
+    """``betti_numbers(cx)``, and whether it fell back to the integer
+    kernel: ``_boundary_rank`` is called from dimension 2 up only then."""
+    degrees = []
+    exact = cxm._boundary_rank
+
+    def spy(cx_, fbd, k):
+        degrees.append(k)
+        return exact(cx_, fbd, k)
+
+    cxm._boundary_rank = spy
+    try:
+        return betti_numbers(cx), any(k >= 2 for k in degrees)
+    finally:
+        cxm._boundary_rank = exact
+
+
+def _needs_rationals(cx) -> bool:
+    """Whether the parity certificate refuses the mod-2 Betti numbers: two
+    degrees of 1 or more with nonzero numbers differ in parity."""
+    betti2 = reference_betti_numbers(cx, mod2=True)
+    return len({k % 2 for k, b in betti2.items() if b and k > 0}) > 1
+
+
+def rp2():
+    return SimplicialComplex.from_faces("123456", RP2_TRIANGLES)
+
+
+@st.composite
+def torsion_cases(draw):
+    """A random complex, or RP^2 alone, beside a point, coned, or joined
+    with a small random complex."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "rp2", "rp2+point", "cone", "join"]))
+    if kind == "random":
+        return random_complex(rng, max_facets=8)
+    if kind == "rp2":
+        return rp2()
+    if kind == "rp2+point":
+        return SimplicialComplex.from_faces("1234567", RP2_TRIANGLES + [["7"]])
+    if kind == "cone":
+        return SimplicialComplex.from_faces(
+            "1234567", [t + ["7"] for t in RP2_TRIANGLES])
+    return rp2().join(random_complex(rng, max_vertices=4, max_facets=3,
+                                     max_size=3))
+
+
+@given(torsion_cases())
+@settings(max_examples=80, deadline=None)
+def test_certified_betti_numbers_match_fraction_oracle(cx):
+    got, fell_back = _betti_and_path(cx)
+    assert got == reference_betti_numbers(cx)
+    assert fell_back == _needs_rationals(cx)
+
+
+def test_torsion_cases_take_both_paths():
+    # RP^2 has beta_1 = beta_2 = 1 mod 2, so it needs the rationals, and
+    # so does its join with a circle (degrees 3 and 4); the cone over it
+    # and its join with a point are acyclic mod 2 as well, so certified
+    circle = cycle4()
+    for cx, fell_back in ((rp2(), True), (rp2().join(circle), True),
+                          (SimplicialComplex.from_faces(
+                              "1234567", [t + ["7"] for t in RP2_TRIANGLES]), False),
+                          (rp2().join(points("p")), False)):
+        got, path = _betti_and_path(cx)
+        assert path == fell_back
+        # RP^2 is acyclic over the rationals, and so is every join with it
+        assert got == reference_betti_numbers(cx)
+        assert not any(got.values())
+
+
+def _plain(cx):
+    """The same complex without its poset, so ``depth`` sweeps the faces."""
+    return SimplicialComplex(cx.vertices, cx.facets)
+
+
+def test_poset_depth_matches_face_sweep_on_group_lattices(monkeypatch, gl_s4,
+                                                          gl_a5, gl_s5):
+    calls = []
+    poset_depth = cxm._poset_depth
+    monkeypatch.setattr(cxm, "_poset_depth",
+                        lambda *args: calls.append(1) or poset_depth(*args))
+    groups = [gm.parse_group_file(text) for text in (
+        "degree: 7\n(1 2 3 4 5 6 7)\n(1 2)(3 6)\n",
+        "degree: 8\n(1 2)\n(3 4)\n(5 6)\n(7 8)\n",
+        "degree: 6\n(1 2)\n(1 2 3 4)\n(5 6)\n")]
+    lattices = [gl_s4, gl_a5, gl_s5] + [gm.subgroup_lattice(G) for G in groups]
+    depths = []
+    for GL in lattices:
+        cx = order_complex(GL.lattice.poset)
+        assert isinstance(cx, cxm.OrderComplex)
+        depths.append(depth(cx))
+        assert depths[-1] == depth(_plain(cx))
+    # S4, A5, S5, PSL(2,7), C2^4, S4 x C2
+    assert depths == [1, 1, 2, 1, 2, 2]
+    assert len(calls) == len(lattices)
+
+
+def test_poset_depth_of_one_and_two_elements():
+    one = build_poset(["a"], [])
+    two = build_poset(["a", "b"], [("a", "b")])
+    for P in (one, two):
+        cx = order_complex(P)
+        assert cx.is_empty
+        assert depth(cx) == depth(_plain(cx)) == -1
+        assert cxm._poset_depth(P, -1, 200000) == -1
+        assert betti_numbers(cx) == {-1: 1}
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_poset_depth_matches_face_sweep(rng):
+    P = rng.choice([random_poset, random_bounded_poset,
+                    random_layered_poset])(rng)
+    cx = order_complex(P)
+    limit = rng.choice([200000, rng.randint(1, 80)])
+    assert (_outcome(depth, cx, limit=limit)
+            == _outcome(depth, _plain(cx), limit=limit))
+    # without the whole complex's floor, which would hide most of the
+    # other faces: every nonempty face, from the intervals or swept
+    m = min(f.bit_count() for f in cx.facets) - 1
+    assert (cxm._poset_depth(P, m, 200000)
+            == cxm._face_depth(_plain(cx), m, 200000))
+    assert betti_numbers(cx) == reference_betti_numbers(cx)
+
+
+def _bounded(n, up):
+    """The order with up-set rows ``up`` on n elements, with a top and a
+    bottom added."""
+    full = (1 << n + 2) - 1
+    return from_up([f"v{i}" for i in range(n)] + ["top", "bot"],
+                   [row | 1 << n for row in up] + [1 << n, full])
+
+
+def random_bounded_poset(rng):
+    """A random order on up to 9 elements, each below each later one with
+    one fixed chance, with a bottom and a top added."""
+    n = rng.randint(0, 9)
+    p = rng.random()
+    up = [1 << i for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                up[i] |= up[j]
+    return _bounded(n, up)
+
+
+def random_layered_poset(rng):
+    """Three or four levels of two or three elements, each element below
+    some of the next level and now and then below one two levels up, with
+    a bottom and a top added.  Its intervals are often disconnected or
+    circles where the whole complex is not, so that depth is reached at a
+    nonempty face."""
+    levels, n = [], 0
+    for _ in range(rng.randint(3, 4)):
+        k = rng.randint(2, 3)
+        levels.append(range(n, n + k))
+        n += k
+    p = rng.uniform(0.2, 0.6)
+    up = [1 << i for i in range(n)]
+    for i in reversed(range(len(levels) - 1)):
+        for x in levels[i]:
+            above = [y for y in levels[i + 1] if rng.random() < p]
+            if i + 2 < len(levels) and rng.random() < 0.2:
+                above.append(rng.choice(levels[i + 2]))
+            for y in above or [rng.choice(levels[i + 1])]:
+                up[x] |= up[y]
+    return _bounded(n, up)
+
+
+def test_mobius_check_sees_a_wrong_complex(gl_s4):
+    # Philip Hall: the Betti numbers of the order complex sum, with signs,
+    # to mu(0, 1), which is -12 for S4's subgroup lattice.  A rank enters
+    # two adjacent degrees with opposite signs, so the check reads the face
+    # counts: the complex less one chain, attached to the same poset, trips
+    # it, while its own Betti numbers are right
+    P = gl_s4.lattice.poset
+    cx = order_complex(P)
+    assert cxm._mobius(P) == -12
+    assert betti_numbers(cx) == {-1: 0, 0: 0, 1: 12, 2: 0}
+    facets = sorted(cx.facets)
+    wrong = cxm.OrderComplex(P, cx.vertices, facets[1:])
+    with pytest.raises(SelfCheckFailed) as info:
+        betti_numbers(wrong)
+    assert info.value.check == "mobius"
+    assert betti_numbers(_plain(wrong)) == reference_betti_numbers(_plain(wrong))
 
 
 @given(st.randoms(use_true_random=False))
