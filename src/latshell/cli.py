@@ -337,6 +337,9 @@ def _complex_vd(args):
     rep = Report("complex vd", [args.complex])
     cx = load_complex(args.complex)
     if args.skeleton is not None:
+        if args.skeleton >= 0:
+            # the skeleton keeps every vertex, so refuse before building it
+            cxm.refuse_vd_vertices(cx, args.limit_vd_vertices)
         cx = cx.skeleton(args.skeleton)
     ok = cxm.is_vd_bruteforce(cx, max_vertices=args.limit_vd_vertices)
     rep.results = {"vertex_decomposable": ok,

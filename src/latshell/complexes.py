@@ -135,6 +135,8 @@ class SimplicialComplex:
         return seen
 
     def faces_by_dim(self, limit=None) -> dict:
+        if limit is not None:
+            self._refuse_large_facet(limit)
         out = {}
         for m in self.faces():
             out.setdefault(m.bit_count() - 1, []).append(m)
@@ -146,6 +148,25 @@ class SimplicialComplex:
         for v in out.values():
             v.sort()
         return out
+
+    def _refuse_large_facet(self, limit: int, r=None) -> None:
+        """Raise ``SizeLimit`` if the largest facet alone has more than
+        ``limit`` faces of dimension at most ``r`` (of any dimension when
+        ``r`` is None), before any face is built.  A facet of k vertices has
+        the sum of C(k, i) over i <= r + 1 such faces, 2^k in all; the
+        complex has at least as many, so this refuses only what a full
+        count would refuse."""
+        k = max((f.bit_count() for f in self.facets), default=0)
+        top = k if r is None else min(k, r + 1)
+        count = term = 1
+        for i in range(1, top + 1):
+            term = term * (k - i + 1) // i
+            count += term
+            if count > limit:
+                dims = "" if top == k else f" of dimension at most {r}"
+                raise SizeLimit(f"complex has a facet of {k} vertices, with more "
+                                f"faces{dims} than the face limit {limit}; "
+                                f"raise it with --limit-faces")
 
     def facet_name_sets(self) -> frozenset:
         return frozenset(self.names_of(f) for f in self.facets)
@@ -333,11 +354,17 @@ def is_shedding_vertex(cx: SimplicialComplex, v) -> bool:
 def is_vd_bruteforce(cx: SimplicialComplex, max_vertices: int = 25) -> bool:
     """Exhaustive search for a shedding recursion; simplices, the empty
     complex, and the void complex are decomposable by definition."""
+    refuse_vd_vertices(cx, max_vertices)
+    return _vd_search(cx, {})
+
+
+def refuse_vd_vertices(cx: SimplicialComplex, max_vertices: int) -> None:
+    """Raise ``SizeLimit`` if ``cx`` has more vertices than
+    ``is_vd_bruteforce`` searches."""
     if cx.n_vertices > max_vertices:
         raise SizeLimit(f"complex has {cx.n_vertices} vertices, more than the "
                         f"vertex limit {max_vertices}; raise it with "
                         f"--limit-vd-vertices")
-    return _vd_search(cx, {})
 
 
 def _vd_search(cx: SimplicialComplex, memo: dict) -> bool:
@@ -667,16 +694,19 @@ def depth(cx: SimplicialComplex, limit: int = 200000) -> int:
 
     The empty face comes first, with the m-skeleton of the whole complex, so
     for m >= 1 an m-skeleton of more than ``limit`` faces raises
-    ``SizeLimit``; no later step can, as every face it counts is a face of
-    that skeleton.  The other faces are then swept by ``_face_depth``, or,
-    for an ``OrderComplex``, read off interval homology by ``_poset_depth``
-    along the formula above.
+    ``SizeLimit``, from the largest facet alone before the skeleton is
+    built where that facet suffices (``_refuse_large_facet``); no later
+    step can, as every face it counts is a face of that skeleton.  The
+    other faces are then swept by ``_face_depth``, or, for an
+    ``OrderComplex``, read off interval homology by ``_poset_depth`` along
+    the formula above.
     """
     if cx.is_void:
         raise VoidComplex("depth of the void complex is undefined")
     m = min(f.bit_count() for f in cx.facets) - 1
     best = m
     if m >= 1:
+        cx._refuse_large_facet(limit, m)
         best = _homology_floor(cx.skeleton(m), m, limit)
     if isinstance(cx, OrderComplex):
         best = _poset_depth(cx.poset, best, limit)
@@ -775,10 +805,7 @@ def _interval_floor(P: Poset, a: int, b: int, k: int, limit: int) -> int:
     if k == 1:
         return 1 if _is_connected([(P.up[x] | P.down[x]) & inside
                                    for x in bits(inside)]) else 0
-    pos = {x: 1 << v for v, x in enumerate(bits(inside))}
-    lk = SimplicialComplex([P.elements[x] for x in pos],
-                           [sum(map(pos.__getitem__, c[1:-1]))
-                            for c in P.maximal_chains_idx(a, b)])
+    lk = chain_complex(P, P.chains(a, b), inside)
     if lk.dim > k:
         lk = lk.skeleton(k)
     return _homology_floor(lk, k, limit)

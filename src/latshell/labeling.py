@@ -272,59 +272,83 @@ def _interval_spine(seqs: dict):
     maximal chains, in ``Poset.chains`` order, mapped to their label
     sequences.
 
-    Every valid spine is a bottom-to-top subchain of the common refinement
-    of the weakly ascending maximal chains, so candidates are enumerated
-    there, most merged first, and the first one whose gaps carry constant
-    labels and whose extensions come strictly lexicographically first wins.
-    The labels of a gap [u, v] are read off the chains through u and v:
-    each step of such a chain between u and v is a cover inside [u, v], and
-    each cover inside [u, v] lies on such a chain (extend it down to u, up
-    to v, and on to the interval's ends).
+    Every valid spine is a bottom-to-top subchain of ``finest``, the common
+    refinement of the weakly ascending maximal chains, whose gaps are
+    constant: ``_gap_labels`` reads one label off each of them.
+
+    Constant gaps are closed under refinement: a gap [u', v'] inside a
+    constant gap [u, v] holds only covers of [u, v], so it is constant with
+    the same label.  So some subchain of ``finest`` is constant iff
+    ``finest`` is, and otherwise two spines compete.  A chain through a
+    constant subchain S repeats each gap's label along that gap, as the
+    ascending chains do, which pass through ``finest`` and so through S;
+    so it ascends.  Hence for every constant S the chains through S are
+    exactly the ascending chains, and one lexicographic test
+    (``_lex_violation``) decides every candidate at once.
+
+    The spine returned is the constant subchain with the fewest gaps and,
+    among those, the least in lexicographic order of positions in
+    ``finest`` = f_0 < ... < f_n.  Write L(j) for the earliest i with
+    (f_i, f_j) constant.  By the closure, (f_i, f_j) is constant exactly for
+    L(j) <= i < j, and L(j) <= L(j + 1).  So the walk down from the top
+    through n, L(n), L(L(n)), ... reaches the bottom in the fewest gaps, and
+    each of its elements is at or below the matching element of every other
+    spine: by induction from the top, a spine element at or above f_j has
+    its lower neighbour at or above L(j).  Candidates for L(j) are searched
+    only in the run of f_i whose steps up the first ascending chain all
+    carry the label of the step up from f_j-1, as a constant (f_i, f_j)
+    holds those steps.
     """
-    chains = list(seqs)
-    x, y = chains[0][0], chains[0][-1]
-    ascending = [c for c in chains if _weakly_ascending(seqs[c])]
+    x, *_, y = next(iter(seqs))
+    ascending = [c for c in seqs if _weakly_ascending(seqs[c])]
     if not ascending:
         return Violation("no_ascending_chain", (x, y), ())
 
-    common = set(ascending[0]).intersection(*map(set, ascending[1:]))
-    finest = [e for e in ascending[0] if e in common]
-    interior = finest[1:-1]
+    first = ascending[0]
+    common = set(first).intersection(*map(set, ascending[1:]))
+    finest = [e for e in first if e in common]
+    step = dict(zip(first, seqs[first]))
+    kept, alphas = [y], []
+    j = len(finest) - 1
+    while j:
+        run = j - 1
+        while run and step[finest[run - 1]] == step[finest[j - 1]]:
+            run -= 1
+        for i in range(run, j):
+            labels = _gap_labels(seqs, finest[i], finest[j])
+            if len(labels) == 1:
+                break
+        else:
+            return Violation("two_spines", (x, y), tuple(ascending[:2]))
+        kept.append(finest[i])
+        alphas.append(next(iter(labels)))
+        j = i
+    witness = _lex_violation(seqs, ascending)
+    if witness:
+        return Violation("lex_order", (x, y), witness)
+    return AscentSpine(x, y, tuple(reversed(kept)), tuple(reversed(alphas)))
 
-    any_constant = False
-    lex_witness = None
-    for size in range(len(interior) + 1):
-        for kept in itertools.combinations(interior, size):
-            spine = (finest[0],) + kept + (finest[-1],)
-            gap_labels = []
-            for u, v in zip(spine, spine[1:]):
-                labels = {l for c in chains if u in c and v in c
-                          for l in seqs[c][c.index(u):c.index(v)]}
-                if len(labels) != 1:
-                    gap_labels = None
-                    break
-                gap_labels.append(next(iter(labels)))
-            if gap_labels is None:
-                continue
-            any_constant = True
-            spine_set = set(spine)
-            extensions = [c for c in chains if spine_set <= set(c)]
-            others = [c for c in chains if not spine_set <= set(c)]
-            ok = True
-            if others:
-                worst_ext = max(seqs[c] for c in extensions)
-                for o in others:
-                    if seqs[o] <= worst_ext:
-                        ok = False
-                        if lex_witness is None:
-                            bad = max(extensions, key=lambda c: seqs[c])
-                            lex_witness = (bad, o)
-                        break
-            if ok:
-                return AscentSpine(x, y, spine, tuple(gap_labels))
-    if not any_constant:
-        return Violation("two_spines", (x, y), tuple(ascending[:2]))
-    return Violation("lex_order", (x, y), lex_witness)
+
+def _gap_labels(seqs: dict, u: str, v: str) -> set:
+    """The labels of the gap [u, v], read off the chains through u and v:
+    each step of such a chain between u and v is a cover inside [u, v], and
+    each cover inside [u, v] lies on such a chain (extend it down to u, up
+    to v, and on to the interval's ends)."""
+    return {l for c, seq in seqs.items() if u in c and v in c
+            for l in seq[c.index(u):c.index(v)]}
+
+
+def _lex_violation(seqs: dict, ascending: list):
+    """None if every chain of ``seqs`` outside ``ascending`` comes strictly
+    lexicographically after every chain in it; else the witness: the last
+    ascending chain and the first other chain, in ``seqs`` order, not
+    after it."""
+    worst = max(seqs[c] for c in ascending)
+    ascending_set = set(ascending)
+    for o, seq in seqs.items():
+        if seq <= worst and o not in ascending_set:
+            return max(ascending, key=seqs.__getitem__), o
+    return None
 
 
 def _weakly_ascending(seq) -> bool:
@@ -341,23 +365,22 @@ def interval_spine(P: Poset, lab: EdgeLabeling):
 def verify_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
     """Strict verification: every interval has a unique weakly ascending
     maximal chain, strictly lexicographically first."""
-    P.require_bounded()
-    spines = {}
-    violations = []
-    for xi, yi in _intervals(P, (1 << P.n) - 1):
-        x, y = P.elements[xi], P.elements[yi]
-        seqs = _sequences(P, lab, xi, yi)
-        ascending = [c for c in seqs if _weakly_ascending(seqs[c])]
-        if len(ascending) != 1:
-            kind = "no_ascending_chain" if not ascending else "two_spines"
-            violations.append(Violation(kind, (x, y), tuple(ascending[:2])))
-            continue
-        a = ascending[0]
-        if any(seqs[c] <= seqs[a] for c in seqs if c != a):
-            violations.append(Violation("lex_order", (x, y), (a,)))
-            continue
-        spines[(x, y)] = AscentSpine(x, y, a, lab.sequence(a))
-    return QuasiELResult(not violations, spines, tuple(violations))
+    return _spine_verdict(P, (1 << P.n) - 1,
+                          lambda lo, hi: _strict_spine(_sequences(P, lab, lo, hi)))
+
+
+def _strict_spine(seqs: dict):
+    """The strict form of ``_interval_spine``: the interval's one weakly
+    ascending chain, or a Violation."""
+    x, *_, y = next(iter(seqs))
+    ascending = [c for c in seqs if _weakly_ascending(seqs[c])]
+    if len(ascending) != 1:
+        kind = "no_ascending_chain" if not ascending else "two_spines"
+        return Violation(kind, (x, y), tuple(ascending[:2]))
+    a = ascending[0]
+    if _lex_violation(seqs, ascending):
+        return Violation("lex_order", (x, y), (a,))
+    return AscentSpine(x, y, a, seqs[a])
 
 
 def verify_quasi_cl(P: Poset, rlab: RootedLabeling, max_elements: int = 40) -> QuasiELResult:
@@ -411,13 +434,11 @@ def _rooted_interval_spine(P: Poset, lo: int, hi: int, rlab: RootedLabeling,
             gap_labels.setdefault(key, set()).add(seqs[c][k])
     if any(len(v) != 1 for v in gap_labels.values()):
         return Violation("two_spines", (x, y), tuple(ascending[:2]))
-    extensions = [c for c in chains if spine_set <= set(c)]
-    others = [c for c in chains if not spine_set <= set(c)]
-    if others and extensions:
-        worst = max(seqs[c] for c in extensions)
-        for o in others:
-            if seqs[o] <= worst:
-                return Violation("lex_order", (x, y), (root, o))
+    # with constant gaps the chains through the spine are the ascending
+    # ones, as in ``_interval_spine``
+    witness = _lex_violation(seqs, ascending)
+    if witness:
+        return Violation("lex_order", (x, y), (root, witness[1]))
     alphas = tuple(next(iter(gap_labels[(u, v)]))
                    for u, v in zip(spine, spine[1:]))
     return AscentSpine(x, y, spine, alphas)

@@ -32,6 +32,7 @@ recursion it checks.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from latshell import labeling as lb
@@ -56,6 +57,7 @@ from latshell.errors import (
     NotFacetPermutation,
     RepeatRunTooLong,
     SelfCheckFailed,
+    SizeLimit,
     TargetTooLarge,
     UnknownVertex,
     VoidComplex,
@@ -207,10 +209,22 @@ def reference_is_cohen_macaulay(cx: SimplicialComplex, limit: int = 200000) -> b
 
 def reference_depth(cx: SimplicialComplex, limit: int = 200000) -> int:
     """Largest r with a Cohen-Macaulay r-skeleton; bounded by the minimum
-    facet dimension."""
+    facet dimension.
+
+    For m >= 1, an m-skeleton whose largest facet alone has more than
+    ``limit`` faces of dimension at most m is refused before it is built,
+    with the message ``depth`` gives; the count is taken here by binomial
+    sums.
+    """
     if cx.is_void:
         raise VoidComplex("depth of the void complex is undefined")
     m = min(f.bit_count() for f in cx.facets) - 1
+    k = max(f.bit_count() for f in cx.facets)
+    if m >= 1 and sum(math.comb(k, i) for i in range(min(k, m + 1) + 1)) > limit:
+        dims = "" if m + 1 >= k else f" of dimension at most {m}"
+        raise SizeLimit(f"complex has a facet of {k} vertices, with more faces"
+                        f"{dims} than the face limit {limit}; raise it with "
+                        f"--limit-faces")
     for r in range(m, -2, -1):
         if reference_is_cohen_macaulay(cx.skeleton(r), limit=limit):
             return r

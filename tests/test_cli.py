@@ -27,6 +27,7 @@ from latshell.cli import (
 from latshell.errors import InputParseError, NotAPermutation
 
 from conftest import pi4_poset, subset_poset
+from test_complexes import FACET_18, FACET_40_SKELETON_2, forbid_building
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -310,6 +311,27 @@ def test_parser_is_built_once_and_reports_match_fresh_processes(tmp_path, capsys
         assert (code, _without_timing(capsys.readouterr().out)) \
             == _fresh_report(argv), argv
     assert _parser() is _parser()
+
+
+def test_large_facets_refused_before_building(tmp_path, monkeypatch, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"facets": [[f"v{i}" for i in range(18)]]}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(
+        {"facets": [["a", "b", "c"], [f"w{i}" for i in range(40)]]}))
+    forbid_building(monkeypatch)
+    cases = [
+        (["--limit-faces", "1000", "complex", "depth", str(big)], FACET_18),
+        (["--limit-faces", "1000", "complex", "depth", str(wide)],
+         FACET_40_SKELETON_2.format(1000)),
+        (["complex", "vd", "--skeleton", "4", str(wide)],
+         "complex has 43 vertices, more than the vertex limit 25; raise it "
+         "with --limit-vd-vertices"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "SizeLimit", "message": message}
 
 
 @pytest.mark.parametrize("data", [

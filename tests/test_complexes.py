@@ -420,6 +420,53 @@ def test_size_limit_names_count_limit_and_flag():
                                "limit 5; raise it with --limit-vd-vertices")
 
 
+def forbid_building(monkeypatch):
+    """Make building the faces or a skeleton of any complex fail, so that a
+    refusal is seen to come before either."""
+    def built(*args):
+        raise AssertionError("built before the limit was checked")
+    monkeypatch.setattr(SimplicialComplex, "faces", built)
+    monkeypatch.setattr(SimplicialComplex, "skeleton", built)
+
+
+FACET_18 = ("complex has a facet of 18 vertices, with more faces than the "
+            "face limit 1000; raise it with --limit-faces")
+FACET_40_SKELETON_2 = ("complex has a facet of 40 vertices, with more faces of "
+                       "dimension at most 2 than the face limit {}; raise it "
+                       "with --limit-faces")
+
+
+def wide_complex():
+    """A triangle beside a 40-vertex facet: its depth reads the 2-skeleton,
+    of which the large facet alone has 1 + 40 + 780 + 9880 = 10701 faces."""
+    return SimplicialComplex.from_faces(
+        ["a", "b", "c"] + [f"w{i}" for i in range(40)],
+        [["a", "b", "c"], [f"w{i}" for i in range(40)]])
+
+
+def test_large_facet_refused_before_faces_are_built(monkeypatch):
+    big = simplex_complex([f"v{i}" for i in range(18)])
+    wide = wide_complex()
+    forbid_building(monkeypatch)
+    for fn, args in ((big.faces_by_dim, ()), (betti_numbers, (big,)),
+                     (depth, (big,)), (is_cohen_macaulay, (big,))):
+        with pytest.raises(SizeLimit) as info:
+            fn(*args, limit=1000)
+        assert str(info.value) == FACET_18, fn
+    with pytest.raises(SizeLimit) as info:
+        depth(wide, limit=10700)
+    assert str(info.value) == FACET_40_SKELETON_2.format(10700)
+
+
+def test_large_facet_refusal_is_tight():
+    """At the facet's own count the skeleton is built, and the whole count
+    (the triangle adds 7 faces) is refused with its exact message."""
+    with pytest.raises(SizeLimit) as info:
+        depth(wide_complex(), limit=10701)
+    assert str(info.value) == ("complex has 10708 faces, more than the face "
+                               "limit 10701; raise it with --limit-faces")
+
+
 def test_depth_self_check_is_typed(monkeypatch):
     # no Betti number sits below degree -1, so the sweep's result would
     # fall outside -1..m

@@ -281,6 +281,45 @@ def test_interval_spine_wrapper(n5):
     assert spine.elements == ("0", "b", "c", "1")
 
 
+def _labelled_chain(labels):
+    """The chain c0 < c1 < ... with the cover c_i < c_i+1 labelled
+    ``labels[i]``."""
+    names = [f"c{i}" for i in range(len(labels) + 1)]
+    covers = list(zip(names, names[1:]))
+    return build_poset(names, covers), EdgeLabeling(dict(zip(covers, labels)))
+
+
+def test_spine_merges_constant_runs():
+    P, lab = _labelled_chain([1, 1, 2, 2, 3])
+    spine = interval_spine(P, lab)
+    assert spine.elements == ("c0", "c2", "c4", "c5")
+    assert spine.alphas == (1, 2, 3)
+
+
+def test_spine_tie_keeps_earliest_element():
+    # f0 < f1 < f2 < f3 labelled 1, 1, 1, and f0 < z < f3 labelled 2, 0.
+    # The gap (f0, f3) holds z's labels; (f0, f1, f3) and (f0, f2, f3) are
+    # both constant with two gaps, and the earlier f1 is kept.
+    P = build_poset(["f0", "f1", "f2", "f3", "z"],
+                    [("f0", "f1"), ("f1", "f2"), ("f2", "f3"),
+                     ("f0", "z"), ("z", "f3")])
+    lab = EdgeLabeling({("f0", "f1"): 1, ("f1", "f2"): 1, ("f2", "f3"): 1,
+                        ("f0", "z"): 2, ("z", "f3"): 0})
+    spine = interval_spine(P, lab)
+    assert spine.elements == ("f0", "f1", "f3")
+    assert spine.alphas == (1, 1)
+    assert verify_quasi_el(P, lab).ok
+
+
+def test_long_increasing_chain_is_quasi_el():
+    """Every interval's only spine is its whole chain; a search over
+    subsets of the interior would try 2^98 candidates on the longest."""
+    P, lab = _labelled_chain(list(range(99)))
+    res = verify_quasi_el(P, lab)
+    assert res.ok and len(res.spines) == 4950
+    assert res.spines[("c0", "c99")].elements == P.elements
+
+
 def test_rooted_verification_matches_edge_case(n5, m3):
     for P, L, m in (n5, m3):
         lab = left_modular_labeling(L, m)

@@ -1,6 +1,6 @@
 """The labeling verifiers against the interval-based oracles in
 ``labeling_oracles``, over random bounded posets of sets with labels in
-1..3 on the covers."""
+1..k on the covers, k in 1, 2, 3, 5."""
 
 import random
 
@@ -16,7 +16,10 @@ from test_lattice_oracles import random_poset
 
 
 def random_labeling(rng, P) -> lb.EdgeLabeling:
-    return lb.EdgeLabeling({c: rng.randint(1, 3) for c in P.covers()})
+    """Labels in 1..k for k drawn from 1, 2, 3, 5: few labels give constant
+    runs and spines coarser than the common refinement."""
+    k = rng.choice((1, 2, 3, 5))
+    return lb.EdgeLabeling({c: rng.randint(1, k) for c in P.covers()})
 
 
 def rooted(lab: lb.EdgeLabeling) -> lb.RootedLabeling:
