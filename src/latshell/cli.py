@@ -212,8 +212,8 @@ def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
     top = argparse.ArgumentParser(prog="latshell")
     top.add_argument("--format", choices=("json", "text"), default="json")
-    top.add_argument("--limit-chains", type=int, default=20000)
-    top.add_argument("--limit-faces", type=int, default=200000)
+    top.add_argument("--limit-chains", type=int, default=mm.CHAIN_LIMIT)
+    top.add_argument("--limit-faces", type=int, default=cxm.FACE_LIMIT)
     top.add_argument("--limit-vd-vertices", type=int, default=25)
     top.add_argument("--limit-order", type=int, default=gm.ORDER_LIMIT)
     sub = top.add_subparsers(dest="cmd", required=True)

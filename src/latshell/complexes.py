@@ -6,10 +6,11 @@ empty complex (one face, the empty set) and the void complex (no faces at
 all) are distinguished; both are accepted as decomposition leaves.
 Shelling orders are checked on those masks by the restriction-set form of
 the nonpure shelling condition (Bjorner-Wachs 1996), and Betti numbers are
-exact over the rationals: ranks taken over GF(2) on bitset columns, kept
-only when a parity certificate proves them rational, else integer column
-elimination.  A vertex is tested for shedding on facets alone
-(Provan-Billera 1980: v sheds iff no facet of lk(v) is a facet of del(v)).
+exact over the rationals: ranks taken over GF(2) on bitset columns, and
+again by integer column elimination only where the mod-2 Betti numbers on
+both sides of a rank are nonzero, the one place a mod-2 rank can fall
+short.  A vertex is tested for shedding on facets alone (Provan-Billera
+1980: v sheds iff no facet of lk(v) is a facet of del(v)).
 Depth is the link formula depth = min |s| + h(lk s), h the least degree of
 nonzero reduced rational homology (Munkres 1984), swept over the faces, or
 for an order complex a shortest path over the poset's intervals weighted
@@ -17,13 +18,15 @@ by their homology; a complex is Cohen-Macaulay iff it is pure with depth
 equal to its dimension.
 
 The constructive decomposition of order complexes is one lexicographic
-recursion for every skeleton, the whole complex being the skeleton at its
-own dimension: shed the descent element of the lexicographically greatest
-single-descent chain, whose link is the join of the lower and upper
-interval complexes, and in the all-ascending base case assemble the complex
-as a join of a spine simplex with the gap complexes.  One join builder
-certifies both joins, reading a level at or above a factor's dimension as
-the whole factor.
+shedding loop for every skeleton, the whole complex being the skeleton at
+its own dimension: shed the descent element of the lexicographically
+greatest single-descent chain, whose link is the join of the lower and
+upper interval complexes, and in the all-ascending base case assemble the
+complex as a join of a spine simplex with the gap complexes.  One join
+certificate routine serves both joins, reading a level at or above a
+factor's dimension as the whole factor.  Deletion chains are walked in loops, here
+and wherever a certificate is built or read, so the stack grows with the
+dimension and not with the number of vertices.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ from .errors import (
 )
 from . import labeling as lb
 from .poset import Chain, Poset, bits, chain_complex
+
+# Largest face count of a complex whose homology, depth or Cohen-Macaulay
+# test is computed (the CLI's --limit-faces default).
+FACE_LIMIT = 200000
 
 
 class SimplicialComplex:
@@ -403,20 +410,12 @@ class VDNode:
 
 def validate_vd_certificate(cert, cx: SimplicialComplex) -> bool:
     """Check a certificate node by node against the shedding definition."""
-    if isinstance(cert, VDLeaf):
-        if len(cx.facets) > 1:
-            raise InvalidCertificate(f"leaf complex is not a simplex: {cx!r}")
-        return True
-    if not isinstance(cert, VDNode):
-        raise InvalidCertificate(f"unexpected node {cert!r}")
-    if cert.vertex not in cx.vindex:
-        raise InvalidCertificate(f"vertex {cert.vertex!r} not in complex")
-    witness = shedding_failure_witness(cx, cert.vertex)
-    if witness is not None:
-        raise InvalidCertificate(
-            f"{cert.vertex!r} is not a shedding vertex (face {set(witness)!r})")
-    validate_vd_certificate(cert.deletion, cx.delete_vertex(cert.vertex))
-    validate_vd_certificate(cert.link, cx.link_of((cert.vertex,)))
+    for node, sub, _ in _vd_walk(cert, cx):
+        if isinstance(node, VDNode):
+            witness = shedding_failure_witness(sub, node.vertex)
+            if witness is not None:
+                raise InvalidCertificate(f"{node.vertex!r} is not a shedding "
+                                         f"vertex (face {set(witness)!r})")
     return True
 
 
@@ -424,20 +423,39 @@ def shelling_from_vd(cert, cx: SimplicialComplex) -> list:
     """Extract a shelling order from a decomposition certificate.
 
     Deletion facets come first, then the cone over the link shelling; this
-    order is a shelling for nonpure complexes as well.
+    order is a shelling for nonpure complexes as well.  It is the leaves'
+    facets, each with the vertices coned over it, in the order of the walk.
     """
-    if isinstance(cert, VDLeaf):
-        if len(cx.facets) > 1:
-            raise InvalidCertificate("leaf complex is not a simplex")
-        return [cx.names_of(f) for f in cx.facets]
-    if not isinstance(cert, VDNode):
-        raise InvalidCertificate(f"unexpected node {cert!r}")
-    v = cert.vertex
-    if v not in cx.vindex:
-        raise InvalidCertificate(f"vertex {v!r} not in complex")
-    first = shelling_from_vd(cert.deletion, cx.delete_vertex(v))
-    second = shelling_from_vd(cert.link, cx.link_of((v,)))
-    return first + [s | {v} for s in second]
+    return [sub.names_of(f) | cone for node, sub, cone in _vd_walk(cert, cx)
+            if isinstance(node, VDLeaf) for f in sub.facets]
+
+
+def _vd_walk(cert, cx: SimplicialComplex):
+    """Yield each node of ``cert`` with the complex it certifies and the
+    set of vertices coned over it (the vertices whose link holds it), the
+    root with ``cx``; a node's deletion comes before its link, so the
+    leaves come out in shelling order.  An explicit stack holds the pending
+    links, so no deletion chain recurses.  A leaf on more than one facet, a
+    node that is neither kind, and a vertex outside the complex raise
+    ``InvalidCertificate`` before the node is yielded, and a link is taken
+    only when the walk reaches it."""
+    stack = [(cert, cx, None, frozenset())]
+    while stack:
+        node, sub, shed, cone = stack.pop()
+        if shed is not None:
+            sub = sub.link_of((shed,))
+        if isinstance(node, VDLeaf):
+            if len(sub.facets) > 1:
+                raise InvalidCertificate(f"leaf complex is not a simplex: {sub!r}")
+        elif not isinstance(node, VDNode):
+            raise InvalidCertificate(f"unexpected node {node!r}")
+        elif node.vertex not in sub.vindex:
+            raise InvalidCertificate(f"vertex {node.vertex!r} not in complex")
+        yield node, sub, cone
+        if isinstance(node, VDNode):
+            v = node.vertex
+            stack.append((node.link, sub, v, cone | {v}))
+            stack.append((node.deletion, sub.delete_vertex(v), None, cone))
 
 
 def verify_shelling(cx: SimplicialComplex, order) -> bool:
@@ -482,25 +500,24 @@ def _extends_shelling(earlier, fk: int) -> bool:
 # homology over the rationals
 # --------------------------------------------------------------------------
 
-def betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
+def betti_numbers(cx: SimplicialComplex, limit: int = FACE_LIMIT) -> dict:
     """Reduced Betti numbers over the rationals, for -1 <= i <= dim.
 
     The boundary ranks from dimension 2 up are first taken over GF(2)
     (``_rank_mod2``); those from dimensions 0 and 1 are exact, through the
-    augmentation and the connected components.  The mod-2 numbers are
-    returned only when they are certified equal to the rational ones,
-    else every rank is taken again by exact integer elimination
-    (``_boundary_rank``).
+    augmentation and the connected components.  A mod-2 rank is kept
+    unless it may differ from the rational one, and those are taken again
+    by exact integer elimination (``_boundary_rank``).
 
-    The certificate.  A square submatrix of a boundary matrix with nonzero
+    The local rule.  A square submatrix of a boundary matrix with nonzero
     determinant mod 2 has nonzero determinant over Z, so rank_2 <= rank_Q
-    in each dimension, and d_k = beta_2,k - beta_Q,k >= 0 in each degree,
-    being a sum of rank differences.  Both sets of numbers sum, with signs
-    (-1)^k, to the reduced Euler characteristic, so sum (-1)^k d_k = 0.
-    Ranks in dimensions 0 and 1 agree, so d_-1 = d_0 = 0, and d_k > 0
-    needs beta_2,k > 0.  When every degree k >= 1 with beta_2,k > 0 has
-    the same parity, the nonzero d_k all carry one sign and sum to zero,
-    so all vanish.  RP^2 fails it: beta_2 = (0, 0, 1, 1) over GF(2).
+    in each dimension.  So beta_2,j - beta_Q,j is the sum of the rank
+    differences of the boundary maps into and out of degree j, both at
+    least 0, and beta_Q,j >= 0; beta_2,j = 0 therefore makes both ranks
+    around degree j exact.  The rank of the map from degree k to k - 1 can
+    differ only when beta_2,k-1 and beta_2,k are both nonzero, and only
+    those ranks are taken again.  RP^2 has beta_2 = (0, 0, 1, 1), so the
+    rank from degree 2 is retaken.
 
     For the order complex of a bounded poset with 0 < 1 the numbers are
     checked against Philip Hall's theorem, sum (-1)^k beta_k = mu(0, 1),
@@ -510,9 +527,12 @@ def betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
     if cx.is_void:
         return {}
     fbd = cx.faces_by_dim(limit=limit)
-    out = _betti(cx, fbd, _rank_mod2)
-    if len({k % 2 for k, b in out.items() if b and k > 0}) > 1:
-        out = _betti(cx, fbd, _boundary_rank)
+    ranks = {k: _rank_mod2(cx, fbd, k) for k in range(cx.dim + 1)}
+    mod2 = _betti(fbd, ranks)
+    for k in ranks:
+        if k >= 2 and mod2[k - 1] and mod2[k]:
+            ranks[k] = _boundary_rank(cx, fbd, k)
+    out = _betti(fbd, ranks)
     if isinstance(cx, OrderComplex) and cx.poset.bottom != cx.poset.top:
         chi = sum(b if k % 2 == 0 else -b for k, b in out.items())
         mu = _mobius(cx.poset)
@@ -522,14 +542,11 @@ def betti_numbers(cx: SimplicialComplex, limit: int = 200000) -> dict:
     return out
 
 
-def _betti(cx, fbd, rank) -> dict:
+def _betti(fbd, ranks: dict) -> dict:
     """Reduced Betti numbers from the faces by dimension ``fbd`` and the
-    boundary ranks ``rank(cx, fbd, k)``."""
-    dim = cx.dim
-    ranks = {k: rank(cx, fbd, k) for k in range(dim + 1)}
-    ranks[dim + 1] = 0
-    return {k: len(fbd.get(k, [])) - ranks.get(k, 0) - ranks[k + 1]
-            for k in range(-1, dim + 1)}
+    rank of the boundary map from each dimension 0 ... dim."""
+    return {k: len(fbd.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+            for k in range(-1, len(ranks))}
 
 
 def _rank_mod2(cx, fbd, k: int) -> int:
@@ -651,7 +668,7 @@ def _component_count(cx, fbd) -> int:
     return len({find(i) for i in range(len(verts))})
 
 
-def is_cohen_macaulay(cx: SimplicialComplex, limit: int = 200000) -> bool:
+def is_cohen_macaulay(cx: SimplicialComplex, limit: int = FACE_LIMIT) -> bool:
     """Whether reduced rational homology of every link vanishes below the
     link's dimension (Reisner's criterion).
 
@@ -668,7 +685,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, limit: int = 200000) -> bool:
     return depth(cx, limit=limit) == cx.dim
 
 
-def depth(cx: SimplicialComplex, limit: int = 200000) -> int:
+def depth(cx: SimplicialComplex, limit: int = FACE_LIMIT) -> int:
     """Largest r with a Cohen-Macaulay r-skeleton; bounded by the minimum
     facet dimension m.
 
@@ -834,13 +851,16 @@ def _is_connected(masks) -> bool:
 # --------------------------------------------------------------------------
 
 def cert_simplex_skeleton(names, t: int):
-    """Certificate for the t-skeleton of the simplex on ``names``."""
+    """Certificate for the t-skeleton of the simplex on ``names``.  For
+    0 <= t < dim it sheds the last name down to t + 1 names, a simplex of
+    dimension t and so a leaf, and each shed name's link is the
+    (t - 1)-skeleton of the names before it."""
     names = tuple(names)
-    if t <= -1 or t >= len(names) - 1:
-        return VDLeaf()
-    rest = names[:-1]
-    return VDNode(names[-1], cert_simplex_skeleton(rest, t),
-                  cert_simplex_skeleton(rest, t - 1))
+    n = len(names)
+    cert = VDLeaf()
+    for i in range(min(t + 1, n) if t >= 0 else n, n):
+        cert = VDNode(names[i], cert, cert_simplex_skeleton(names[:i], t - 1))
+    return cert
 
 
 @dataclass(frozen=True)
@@ -861,7 +881,10 @@ def join_skeleton_certificate(factors, t: int):
     Requires each level at least -1, each proper skeleton pure (every facet
     of the factor at least level + 1 vertices), and t + 1 <= sum(level + 1)
     over the levels so read.  Shedding vertices are pulled from the factor
-    certificates; exchanges across factors exist by purity.
+    certificates; exchanges across factors exist by purity.  The
+    deletions are walked in a loop, checking the factors at each, and the
+    links, one dimension down, are certified from the last deletion back
+    up.
 
     The leaf test needs no join: skel_t of the join J has at most one facet
     iff t < 0, or every factor has one facet and t = D.  For t < 0 the
@@ -870,59 +893,63 @@ def join_skeleton_certificate(factors, t: int):
     facet of J lies in F: J is the simplex F, which has one facet iff every
     factor has one, and its t-skeleton is F alone iff t + 1 = |F| = D + 1.
     """
-    total = 0
-    for f in factors:
-        if f.complex.is_void:
-            raise InvalidCertificate("void factor in a join")
-        d = f.complex.dim
-        if f.level < -1:
-            raise InvalidCertificate(f"level {f.level} out of range for dim {d}")
-        level = min(f.level, d)
-        if 0 <= level < d:
-            if min(x.bit_count() for x in f.complex.facets) < level + 1:
-                raise InvalidCertificate("factor skeleton is not pure")
-        total += level + 1
-    top = sum(f.complex.dim + 1 for f in factors) - 1
-    t = min(t, top)
-    if t + 1 > total:
-        raise InvalidCertificate(f"target {t} exceeds available levels")
-    seen = set()
-    for f in factors:
-        overlap = seen.intersection(f.complex.vertices)
-        if overlap:
-            raise VertexClash(f"shared vertices {sorted(overlap)!r}")
-        seen.update(f.complex.vertices)
+    levels = []  # (shed vertex, link factors, t) per deletion
+    while True:
+        total = 0
+        for f in factors:
+            if f.complex.is_void:
+                raise InvalidCertificate("void factor in a join")
+            d = f.complex.dim
+            if f.level < -1:
+                raise InvalidCertificate(f"level {f.level} out of range for dim {d}")
+            level = min(f.level, d)
+            if 0 <= level < d:
+                if min(x.bit_count() for x in f.complex.facets) < level + 1:
+                    raise InvalidCertificate("factor skeleton is not pure")
+            total += level + 1
+        top = sum(f.complex.dim + 1 for f in factors) - 1
+        t = min(t, top)
+        if t + 1 > total:
+            raise InvalidCertificate(f"target {t} exceeds available levels")
+        seen = set()
+        for f in factors:
+            overlap = seen.intersection(f.complex.vertices)
+            if overlap:
+                raise VertexClash(f"shared vertices {sorted(overlap)!r}")
+            seen.update(f.complex.vertices)
 
-    if t < 0 or (t == top and all(len(f.complex.facets) == 1 for f in factors)):
-        return VDLeaf()
+        if t < 0 or (t == top and all(len(f.complex.facets) == 1 for f in factors)):
+            cert = VDLeaf()
+            break
 
-    # shed a factor certificate's vertex, else a level -1 factor's last vertex
-    sheds = [(j, f.cert.vertex, f.level - 1, f.cert.deletion, f.cert.link)
-             for j, f in enumerate(factors) if isinstance(f.cert, VDNode)]
-    sheds += [(j, f.complex.vertices[-1], -1, VDLeaf(), VDLeaf())
-              for j, f in enumerate(factors)
-              if f.level == -1 and f.complex.n_vertices]
-    if sheds:
+        # shed a factor certificate's vertex, else a level -1 factor's last vertex
+        sheds = [(j, f.cert.vertex, f.level - 1, f.cert.deletion, f.cert.link)
+                 for j, f in enumerate(factors) if isinstance(f.cert, VDNode)]
+        sheds += [(j, f.complex.vertices[-1], -1, VDLeaf(), VDLeaf())
+                  for j, f in enumerate(factors)
+                  if f.level == -1 and f.complex.n_vertices]
+        if not sheds:
+            union = []
+            for f in factors:
+                if len(f.complex.facets) > 1:
+                    raise InvalidCertificate("leaf certificate on a non-simplex factor")
+                union.extend(f.complex.vertices)
+            cert = cert_simplex_skeleton(tuple(union), t)
+            break
         j, v, link_level, deletion, link = sheds[0]
         f = factors[j]
-        del_factors = list(factors)
-        del_factors[j] = JoinFactor(f.complex.delete_vertex(v), f.level, deletion)
         link_factors = list(factors)
         link_factors[j] = JoinFactor(f.complex.link_of((v,)), link_level, link)
-        return VDNode(v,
-                      join_skeleton_certificate(del_factors, t),
-                      join_skeleton_certificate(link_factors, t - 1))
-
-    union = []
-    for f in factors:
-        if len(f.complex.facets) > 1:
-            raise InvalidCertificate("leaf certificate on a non-simplex factor")
-        union.extend(f.complex.vertices)
-    return cert_simplex_skeleton(tuple(union), t)
+        levels.append((v, link_factors, t))
+        factors = list(factors)
+        factors[j] = JoinFactor(f.complex.delete_vertex(v), f.level, deletion)
+    for v, link_factors, t in reversed(levels):
+        cert = VDNode(v, cert, join_skeleton_certificate(link_factors, t - 1))
+    return cert
 
 
 # --------------------------------------------------------------------------
-# the lexicographic shedding recursion
+# the lexicographic shedding loop
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -982,30 +1009,6 @@ def _descent_pick(sub, cache: _VDCache) -> DescentPick:
     return DescentPick(Chain(best, maximal=True), x)
 
 
-def _delete_element(P: Poset, mask: int, xi: int) -> int:
-    """The index mask ``mask`` less ``xi``, refused when a cover of the
-    subposet it induces is not a cover of P.
-
-    Only the pairs through x need a look.  The covers of ``mask`` are P's
-    among its members (see ``_vd_rec``).  A cover (a, b) of the deletion
-    that is not one of P is then no cover of ``mask`` either, so some
-    member lies strictly between a and b, and that member is x, for any
-    other would still lie between them.  Nothing else does, so a < x < b
-    are covers of ``mask``: a covers down to x, b covers up from x, and
-    the pair has no bypass.  ``_descent_pick`` refuses such a pair first,
-    so on the recursion's path this check cannot fire; neither VD sweep in
-    the tests reaches its message.
-    """
-    rest = mask & ~(1 << xi)
-    for a in bits(P.cover_down[xi] & mask):
-        for b in bits(P.cover_up[xi] & mask):
-            if not P.up[a] & P.down[b] & rest & ~(1 << a | 1 << b):
-                raise InvalidCertificate(
-                    f"removing {P.elements[xi]!r} created the new cover "
-                    f"({P.elements[a]!r}, {P.elements[b]!r})")
-    return rest
-
-
 # deletions from posets of at most this many elements are verified again
 # in full, as a self-check of the shedding step
 RECHECK_LIMIT = 12
@@ -1017,7 +1020,7 @@ class _VDCache:
     certificates by (mask, t), chain lists and spines by mask, and chain
     statistics by chain.  A sub-poset is ``(lo, hi, mask)``, an index mask
     over ``P`` with its bottom and top, whose covers are P's among its
-    members (see ``_vd_rec``); ``root`` is ``P`` itself."""
+    members (see ``_vd_level``); ``root`` is ``P`` itself."""
 
     __slots__ = ("P", "root", "lab", "certs", "spines", "chain_lists", "chain_stats")
 
@@ -1096,66 +1099,88 @@ def constructive_vd_full(P: Poset, lab):
     return cx, _vd_level(cache.root, cx, cx.dim, cache)[1]
 
 
-def _vd_rec(sub, t: int, cache: _VDCache, full=None):
-    """A certificate for skel_t of the order complex of the sub-poset
-    ``sub`` (``full``, built here when not given), with t read as at most
-    its dimension.  ``_vd_level`` builds it, once per (mask, t) of the call;
-    the root's own level is not stored, as every poset below it is smaller.
-
-    That is exact.  Every poset the recursion meets is an interval or a
-    deletion of one met before, starting from the root, and is carried as
-    ``(lo, hi, mask)``: its members as an index mask over the root, with
-    its bottom and top.  Its covers are the root's cover rows ANDed with
-    its mask, by induction: the root's are; the covers of an interval are
-    the covers inside it; and a deletion keeps every cover between
-    remaining elements, while ``_delete_element`` refuses any new one.  So
-    the mask fixes the poset: its chains in DFS order are the root's walk
-    kept inside the mask (``Poset.maximal_chains_idx(lo, hi, within)``),
-    and with them its spine, its order complex, and with t its
-    certificate, whichever branch reaches it.  A chain's names fix its
-    statistics.  A failure ends the call, so only results are stored.
-    """
-    key = (sub[2], t)
-    cert = cache.certs.get(key)
-    if cert is None:
-        cert = cache.certs[key] = _vd_level(
-            sub, cache.complex(sub) if full is None else full, t, cache)[1]
-    return cert
-
-
 def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
     """skel_t of ``full``, the order complex of the sub-poset ``sub``, with
-    t read as at most its dimension, and a certificate for it.  Sheds the
-    descent element x of the lexicographically greatest single-descent
-    chain; the link of x is the join of the order complexes of [0, x] and
-    [x, 1].  With every chain weakly ascending the complex is the join of
-    ``_base_case_factors``.  The deletion of x is checked for new covers on
-    every visit, and, when ``sub`` has at most ``RECHECK_LIMIT`` elements,
-    verified again with the interval spines of the call."""
+    t read as at most its dimension, and a certificate for it.
+
+    The deletion chain is walked in a loop.  Each level
+    (``_shed_level``) sheds the descent element x of the
+    lexicographically greatest single-descent chain and moves to the
+    deletion P - x, until a leaf, a base case, or a (mask, t) the cache
+    already holds.  The certificates are then built from the last deletion
+    back up, each level's link being the join of the order complexes of
+    [0, x] and [x, 1] (``_split_factors``), in the order in which a
+    recursion on the deletion would build them, so the certificates and
+    the first error raised are the same.  Only the links recurse, one
+    dimension down, so the stack grows with the dimension, not with the
+    number of elements shed.  Each deletion's certificate is stored by
+    (mask, t); ``_split_factors`` stores an interval's.
+
+    That is exact.  Every poset met is an interval or a deletion of one met
+    before, starting from the root, and is carried as ``(lo, hi, mask)``:
+    its members as an index mask over the root, with its bottom and top.
+    Its covers are the root's cover rows ANDed with its mask, by induction:
+    the root's are; the covers of an interval are the covers inside it; and
+    a deletion P - x keeps every cover between remaining elements and makes
+    no new one.  A cover (a, b) of P - x that is not one of P has some
+    member of P strictly between a and b, and that member is x, as any
+    other would still lie between them; nothing else does, so a < x < b
+    are covers of P with no element of P - x between a and b.  That is a
+    cover pair through x with no bypass, which ``_descent_pick`` refuses
+    before x is shed.  So the mask fixes the poset: its chains in DFS order
+    are the root's walk kept inside the mask
+    (``Poset.maximal_chains_idx(lo, hi, within)``), and with them its
+    spine, its order complex, and with t its certificate, whichever branch
+    reaches it.  A chain's names fix its statistics.  A failure ends the
+    call, so only results are stored.
+    """
+    levels = []  # (sub, skeleton, t, x) of each level that sheds x
+    while True:
+        cx, t, x, cert = _shed_level(sub, full, t, cache)
+        if x is None:
+            break
+        levels.append((sub, cx, t, x))
+        sub = sub[:2] + (sub[2] & ~(1 << cache.P.index[x]),)
+        cert = cache.certs.get((sub[2], t))
+        if cert is not None:
+            break
+        full = cache.complex(sub)
+    for sub, skel, t, x in reversed(levels):
+        xi = cache.P.index[x]
+        cache.certs[(sub[2] & ~(1 << xi), t)] = cert
+        link_factors = _split_factors(sub, xi, t, cache)
+        _check_join(link_factors, t - 1, skel.link_of((x,)),
+                    "link join does not match the complex link")
+        cert = VDNode(x, cert, join_skeleton_certificate(link_factors, t - 1))
+    return (levels[0][1] if levels else cx), cert
+
+
+def _shed_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
+    """One level of ``_vd_level``: (skel_t of ``full``, t read as at most
+    its dimension, x, None) when the descent element x is to be shed, else
+    (skeleton, t, None, certificate) for a leaf, or, with every chain weakly
+    ascending, for the join of ``_base_case_factors``.  When ``sub`` has at
+    most ``RECHECK_LIMIT`` elements, the deletion of x is first verified
+    again with the interval spines of the call."""
     t = min(t, full.dim)
     cx = full.skeleton(t)
     if len(cx.facets) <= 1:
-        return cx, VDLeaf()
+        return cx, t, None, VDLeaf()
     try:
         x = _descent_pick(sub, cache).element
     except AllChainsAscending:
         factors = _base_case_factors(sub, t, cache)
         cert = join_skeleton_certificate(factors, t)
         _check_join(factors, t, cx, "base case join does not match the skeleton")
-        return cx, cert
+        return cx, t, None, cert
 
-    lo, hi, mask = sub
-    xi = cache.P.index[x]
-    rest = _delete_element(cache.P, mask, xi)
+    mask = sub[2]
+    rest = mask & ~(1 << cache.P.index[x])
     if mask.bit_count() <= RECHECK_LIMIT and not lb._spine_verdict(
             cache.P, rest, lambda a, b: cache.spine(cache.interval(a, b, rest))).ok:
         raise InvalidCertificate(
             f"restriction away from {x!r} lost the labeling axioms")
-    deletion = _vd_rec((lo, hi, rest), t, cache)
-    link_factors = _split_factors(sub, xi, t, cache)
-    _check_join(link_factors, t - 1, cx.link_of((x,)),
-                "link join does not match the complex link")
-    return cx, VDNode(x, deletion, join_skeleton_certificate(link_factors, t - 1))
+    return cx, t, x, None
 
 
 def _check_join(factors, t: int, expected: SimplicialComplex, message: str):
@@ -1216,7 +1241,11 @@ def _split_factors(sub, xi: int, t: int, cache: _VDCache):
         if level >= 0:
             if level < cxf.dim and level + 2 > cache.min_complexity(part):
                 raise InvalidCertificate("interval target exceeds its bound")
-            factors.append(JoinFactor(cxf, level, _vd_rec(part, level, cache, cxf)))
+            cert = cache.certs.get((part[2], level))
+            if cert is None:
+                cert = cache.certs[(part[2], level)] = _vd_level(
+                    part, cxf, level, cache)[1]
+            factors.append(JoinFactor(cxf, level, cert))
         else:
             factors.append(JoinFactor(cxf, -1, VDLeaf()))
     return factors

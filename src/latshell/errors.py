@@ -147,10 +147,6 @@ class NotSolvable(LatshellError):
     pass
 
 
-class ShellabilityUndecided(LatshellError):
-    pass
-
-
 # --------------------------------------------------------------------- cli
 
 class InputParseError(LatshellError):

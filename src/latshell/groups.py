@@ -20,12 +20,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import labeling as lb
+from .complexes import (
+    FACE_LIMIT,
+    betti_numbers,
+    constructive_vd_skeleton,
+    depth,
+    is_cohen_macaulay,
+    shelling_from_vd,
+    verify_shelling,
+)
 from .errors import (
     NotAPermutation,
     NotSolvable,
     OrderLimit,
     SelfCheckFailed,
-    ShellabilityUndecided,
     SizeLimit,
 )
 from .lattice import (
@@ -49,8 +58,6 @@ ORDER_LIMIT = 720
 JOIN_CHECK_LIMIT = 60
 # Order-complex face count above which no exact depth is reported.
 EXACT_DEPTH_FACE_LIMIT = 4000
-# Skeleton facet count above which no brute-force shelling search runs.
-FACET_BRUTEFORCE_LIMIT = 12
 
 
 def _mul(p: Perm, q: Perm) -> Perm:
@@ -553,12 +560,9 @@ class DepthReport:
 
 
 def solvability_by_depth(GL: GroupLattice,
-                         homology_limit: int = 200000) -> DepthReport:
+                         homology_limit: int = FACE_LIMIT) -> DepthReport:
     """Decide solvability by whether the depth of the order complex stays
     at its guaranteed floor of r - 2 or climbs to r - 1."""
-    from .complexes import depth as complex_depth
-    from .complexes import is_cohen_macaulay
-
     r = GL.chief.r
     P = GL.lattice.poset
     cx = order_complex(P)
@@ -567,7 +571,7 @@ def solvability_by_depth(GL: GroupLattice,
     depth_exact = None
     if P.proper_chain_count() <= EXACT_DEPTH_FACE_LIMIT:
         try:
-            depth_exact = complex_depth(cx, limit=homology_limit)
+            depth_exact = depth(cx, limit=homology_limit)
         except SizeLimit:
             pass
     if r == 0:
@@ -612,39 +616,38 @@ class ShellabilityReport:
 
 def skeleton_shellability_criterion(GL: GroupLattice) -> ShellabilityReport:
     """Nonsolvable exactly when the (r-1)-skeleton of the order complex is
-    pure of dimension r-1 and shellable."""
-    from . import labeling as lb
-    from .complexes import betti_numbers, verify_shelling, shelling_from_vd
-    from .complexes import constructive_vd_skeleton
+    pure of dimension r-1 and shellable.
 
+    Up to dimension 1 shellability is nonvoidness or connectivity.  Above,
+    the skeleton is certified by the constructive decomposition of the
+    chief series' left-modular labeling at target r + 1, which the chain
+    complexity bound always allows on a pure skeleton: every maximal chain
+    has at least r + 1 covers and carries all r labels, so some label
+    repeats.  A smaller bound raises ``SelfCheckFailed``.
+    """
     r = GL.chief.r
     P = GL.lattice.poset
     lo, _ = P.min_max_chain_covers()
     pure = lo >= r + 1
     shellable = None
     method = "not-pure"
-    if pure:
+    if pure and r - 1 <= 1:
         cx = order_complex(P).skeleton(r - 1)
         if r - 1 <= 0:
             shellable = not cx.is_void
             method = "zero-dimensional"
-        elif r - 1 == 1:
-            b = betti_numbers(cx)
-            shellable = b.get(0, 1) == 0
-            method = "connectivity"
         else:
-            lab = lb.left_modular_labeling(GL.lattice, GL.chief)
-            bound, _ = lb.min_chain_complexity(P, lab)
-            if bound >= r + 1:
-                skel, cert = constructive_vd_skeleton(P, lab, r + 1)
-                shellable = verify_shelling(skel, shelling_from_vd(cert, skel))
-                method = "constructive"
-            elif len(cx.facets) <= FACET_BRUTEFORCE_LIMIT:
-                shellable = _bruteforce_shellable(cx)
-                method = "bruteforce"
-            else:
-                raise ShellabilityUndecided(
-                    f"cannot certify shellability of the {r - 1}-skeleton")
+            shellable = betti_numbers(cx).get(0, 1) == 0
+            method = "connectivity"
+    elif pure:
+        lab = lb.left_modular_labeling(GL.lattice, GL.chief)
+        bound, _ = lb.min_chain_complexity(P, lab)
+        if bound < r + 1:
+            raise SelfCheckFailed("chain-complexity", f"a pure skeleton has "
+                                  f"chain complexity {bound}, below r + 1 = {r + 1}")
+        skel, cert = constructive_vd_skeleton(P, lab, r + 1)
+        shellable = verify_shelling(skel, shelling_from_vd(cert, skel))
+        method = "constructive"
     verdict = "nonsolvable" if (pure and shellable) else "solvable"
     solvable = is_solvable(GL.group)
     return ShellabilityReport(
@@ -659,25 +662,6 @@ def skeleton_shellability_criterion(GL: GroupLattice) -> ShellabilityReport:
     )
 
 
-def _bruteforce_shellable(cx) -> bool:
-    """Depth-first search for a shelling order, extending a prefix only by
-    facets that keep it a shelling (``complexes._extends_shelling``)."""
-    from .complexes import _extends_shelling
-
-    facets = sorted(cx.facets, key=lambda f: sorted(cx.names_of(f)))
-
-    def extend(order, remaining):
-        if not remaining:
-            return True
-        for n, f in enumerate(remaining):
-            if (_extends_shelling(order, f)
-                    and extend(order + [f], remaining[:n] + remaining[n + 1:])):
-                return True
-        return False
-
-    return extend([], facets)
-
-
 @dataclass(frozen=True)
 class BouquetReport:
     r: int
@@ -686,11 +670,9 @@ class BouquetReport:
     ok: bool
 
 
-def thevenaz_check(GL: GroupLattice, homology_limit: int = 200000) -> BouquetReport:
+def thevenaz_check(GL: GroupLattice, homology_limit: int = FACE_LIMIT) -> BouquetReport:
     """For a solvable group the order complex is homotopy equivalent to a
     bouquet of (r-2)-spheres counted by complement-chain refinements."""
-    from .complexes import betti_numbers
-
     if not is_solvable(GL.group):
         raise NotSolvable("bouquet count applies to solvable groups only")
     L = GL.lattice

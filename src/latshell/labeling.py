@@ -274,7 +274,8 @@ def _interval_spine(seqs: dict):
 
     Every valid spine is a bottom-to-top subchain of ``finest``, the common
     refinement of the weakly ascending maximal chains, whose gaps are
-    constant: ``_gap_labels`` reads one label off each of them.
+    constant: ``_gap_labels`` reads one label off each of them, from each
+    chain's map of its elements to their positions, built once.
 
     Constant gaps are closed under refinement: a gap [u', v'] inside a
     constant gap [u, v] holds only covers of [u, v], so it is constant with
@@ -308,6 +309,7 @@ def _interval_spine(seqs: dict):
     common = set(first).intersection(*map(set, ascending[1:]))
     finest = [e for e in first if e in common]
     step = dict(zip(first, seqs[first]))
+    positions = [({e: k for k, e in enumerate(c)}, seq) for c, seq in seqs.items()]
     kept, alphas = [y], []
     j = len(finest) - 1
     while j:
@@ -315,7 +317,7 @@ def _interval_spine(seqs: dict):
         while run and step[finest[run - 1]] == step[finest[j - 1]]:
             run -= 1
         for i in range(run, j):
-            labels = _gap_labels(seqs, finest[i], finest[j])
+            labels = _gap_labels(positions, finest[i], finest[j])
             if len(labels) == 1:
                 break
         else:
@@ -329,13 +331,14 @@ def _interval_spine(seqs: dict):
     return AscentSpine(x, y, tuple(reversed(kept)), tuple(reversed(alphas)))
 
 
-def _gap_labels(seqs: dict, u: str, v: str) -> set:
-    """The labels of the gap [u, v], read off the chains through u and v:
+def _gap_labels(positions: list, u: str, v: str) -> set:
+    """The labels of the gap [u, v], read off the chains through u and v,
+    each given as (its map of elements to positions, its label sequence):
     each step of such a chain between u and v is a cover inside [u, v], and
     each cover inside [u, v] lies on such a chain (extend it down to u, up
     to v, and on to the interval's ends)."""
-    return {l for c, seq in seqs.items() if u in c and v in c
-            for l in seq[c.index(u):c.index(v)]}
+    return {l for pos, seq in positions if u in pos and v in pos
+            for l in seq[pos[u]:pos[v]]}
 
 
 def _lex_violation(seqs: dict, ascending: list):

@@ -14,10 +14,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .complexes import betti_numbers
 from .errors import SizeLimit
 from .lattice import Lattice, ModularChain, complement_refinements
 from .labeling import ChainStats, EdgeLabeling, lamplus_sequence
 from .poset import Chain, Poset, bits, order_complex
+
+# Largest maximal-chain count that the chain analyses enumerate (the CLI's
+# --limit-chains default).
+CHAIN_LIMIT = 20000
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class MorseReport:
                  "homological proxy: vanishing reduced rational homology")
 
 
-def _ordered_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
+def _ordered_chains(P: Poset, lab: EdgeLabeling, limit: int = CHAIN_LIMIT):
     count = P.maximal_chain_count()
     if count > limit:
         raise SizeLimit(f"poset has {count} maximal chains, more than "
@@ -163,7 +168,7 @@ def _chain_morse_data(P, st: ChainStats, step) -> DescendingChainData:
     )
 
 
-def weakly_descending_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
+def weakly_descending_chains(P: Poset, lab: EdgeLabeling, limit: int = CHAIN_LIMIT):
     """All maximal chains without a strict ascent, annotated with their
     critical-cell dimension lower bound."""
     step = _first_step(P, lab)
@@ -175,7 +180,7 @@ def weakly_descending_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
     return out
 
 
-def verify_skipped_interval_rules(P: Poset, lab: EdgeLabeling, limit: int = 20000):
+def verify_skipped_interval_rules(P: Poset, lab: EdgeLabeling, limit: int = CHAIN_LIMIT):
     """Strict descents are length-0 skipped intervals; strict ascents avoid
     all of them away from the first chain.  Returns violations."""
     step = _first_step(P, lab)
@@ -203,7 +208,7 @@ def verify_skipped_interval_rules(P: Poset, lab: EdgeLabeling, limit: int = 2000
     return violations
 
 
-def connectivity_lower_bound(P: Poset, lab: EdgeLabeling, limit: int = 20000):
+def connectivity_lower_bound(P: Poset, lab: EdgeLabeling, limit: int = CHAIN_LIMIT):
     """min over weakly descending chains of ell0 + ell1 - 3, or None when no
     chain is weakly descending (contractible candidate)."""
     data = weakly_descending_chains(P, lab, limit)
@@ -223,7 +228,7 @@ class ComplementComparison:
 
 def descending_equals_complements(L: Lattice, m: ModularChain,
                                   lab: EdgeLabeling,
-                                  limit: int = 20000) -> ComplementComparison:
+                                  limit: int = CHAIN_LIMIT) -> ComplementComparison:
     """For the left-modular labeling, weakly descending maximal chains are
     exactly the maximal refinements of chains of complements to the chain."""
     descending = {d.chain for d in weakly_descending_chains(L.poset, lab, limit)}
@@ -238,11 +243,9 @@ def descending_equals_complements(L: Lattice, m: ModularChain,
 
 
 def homology_consistency(P: Poset, lab: EdgeLabeling,
-                         limit: int = 20000) -> MorseReport:
+                         limit: int = CHAIN_LIMIT) -> MorseReport:
     """Reduced homology must vanish up to the connectivity bound, and the
     total Betti rank is at most the number of weakly descending chains."""
-    from .complexes import betti_numbers
-
     data = weakly_descending_chains(P, lab, limit)
     bound = min((d.ell0 + d.ell1 - 3 for d in data), default=None)
     cx = order_complex(P)

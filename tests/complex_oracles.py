@@ -2,15 +2,14 @@
 ``latshell.complexes``, kept as oracles for the tests.
 
 ``reference_verify_shelling`` is the pairwise shelling test (O(F^3) set
-operations), ``reference_boundary_rank`` the sparse elimination over
-``Fraction``, and ``reference_bruteforce_shellable`` the shelling search
-with the pairwise test inline.  They are kept as they were before the
-kernels moved to the restriction-set predicate and integer pivots, so they
-share no arithmetic with the routines they check.
+operations) and ``reference_boundary_rank`` the sparse elimination over
+``Fraction``.  They are kept as they were before the kernels moved to the
+restriction-set predicate and integer pivots, so they share no arithmetic
+with the routines they check.
 
 ``reference_betti_numbers`` also takes its ranks over GF(2) on request,
-so that the tests can tell which numbers the library's parity certificate
-should accept.
+so that the tests can tell which ranks the library must take again over
+the integers.
 
 ``reference_shedding_failure_witness`` tries every face through the vertex
 and scans all facets for an exchange vertex; ``reference_is_cohen_macaulay``
@@ -139,25 +138,6 @@ def reference_boundary_rank(cx, fbd, k: int, mod2: bool = False) -> int:
                 rank += 1
                 break
     return rank
-
-
-def reference_bruteforce_shellable(cx) -> bool:
-    facets = sorted(cx.facet_name_sets(), key=sorted)
-
-    def extend(order, remaining):
-        if not remaining:
-            return True
-        for f in list(remaining):
-            trial = order + [f]
-            ok = all(
-                any(trial[i2] & f <= trial[j] & f and len(trial[j] & f) == len(f) - 1
-                    for j in range(len(order)))
-                for i2 in range(len(order)))
-            if ok and extend(trial, remaining - {f}):
-                return True
-        return False
-
-    return extend([], set(facets))
 
 
 def reference_shedding_failure_witness(cx: SimplicialComplex, v):

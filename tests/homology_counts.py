@@ -14,8 +14,9 @@ homology the two heavy benchmark workloads ask for:
 Per lattice or group it prints:
 
 - ``betti``: ``complexes.betti_numbers`` calls;
-- ``fallbacks``: those of them whose mod-2 numbers the parity certificate
-  refused, so that the ranks were taken again over the rationals
+- ``fallbacks``: those of them with a mod-2 rank that may fall short of
+  the rational one (the mod-2 Betti numbers on both sides of it are
+  nonzero), so that it was taken again over the rationals
   (``complexes._boundary_rank`` called from dimension 2 up);
 - ``intervals``: open intervals whose homology ``depth`` computed
   (``complexes._interval_floor`` calls);
@@ -67,7 +68,7 @@ def group_work(text):
 
 def counts(work, *args) -> dict:
     """The work counts of ``work(*args)``."""
-    from latshell import complexes
+    from latshell import complexes, groups, morse
 
     tally = dict.fromkeys(COLUMNS, 0)
     exact = []
@@ -99,6 +100,8 @@ def counts(work, *args) -> dict:
         return out
 
     patches = [(complexes, "betti_numbers", betti),
+               (groups, "betti_numbers", betti),
+               (morse, "betti_numbers", betti),
                (complexes, "_boundary_rank", rank),
                (complexes, "_interval_floor", floor),
                (complexes.SimplicialComplex, "faces_by_dim", faces)]

@@ -10,8 +10,9 @@ every y, comparable or not, through ``meet_idx``/``join_idx`` calls.
 drops non-maximal faces.  The cover loops are the four transitive
 reductions the library had before ``poset.induced_covers``: the
 containment loop of ``subgroup_lattice``, the canonical covers of
-``build_poset``, ``lattice._covers_of_restriction`` and
-``complexes._delete_element``.  ``reference_interval`` is the interval
+``build_poset``, ``lattice._covers_of_restriction`` and the deletion step
+of the constructive VD recursion, which ``complex_oracles`` still uses.
+``reference_interval`` is the interval
 builder that remapped P's up-set and cover rows by hand before
 ``Poset.restrict``.  They are kept as they were, so they share no code with
 the routines they check.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from latshell import (
     classify_modularity,
     is_solvable,
+    lattice_check,
     left_modular_labeling,
     maximal_chains,
     min_chain_complexity,
@@ -21,6 +22,7 @@ from latshell import (
     subgroup_lattice,
     subgroups,
     thevenaz_check,
+    verify_chain_modularity,
     verify_quasi_el,
 )
 from latshell import groups as gm
@@ -34,6 +36,7 @@ from latshell.errors import (
 )
 from latshell.labeling import stats_of_sequence
 
+from conftest import partition_poset
 from group_counts import closures
 from group_oracles import (
     reference_generated_subgroup,
@@ -384,6 +387,27 @@ def test_skeleton_shellability(gl_s4, gl_a5):
     GL = subgroup_lattice(gm.klein_four())
     rep = skeleton_shellability_criterion(GL)
     assert not rep.pure and rep.verdict == "solvable" and rep.agree
+
+
+def test_constructive_branch_on_a_hand_built_lattice(monkeypatch):
+    """No group of order below 240 reaches the constructive branch, so A5
+    is paired with the partition lattice Pi5 and its left-modular chain of
+    merges: r = 3, and every maximal chain has 4 covers, so the
+    2-skeleton is pure."""
+    L = lattice_check(partition_poset(5))
+    chain = ["1|2|3|4|5", "12|3|4|5", "123|4|5", "12345"]
+    GL = gm.GroupLattice(gm.alternating(5), [], [], L, set(),
+                         verify_chain_modularity(L, chain))
+    rep = skeleton_shellability_criterion(GL)
+    assert (rep.r, rep.min_chain_covers, rep.pure) == (3, 4, True)
+    assert rep.method == "constructive" and rep.shellable
+    assert rep.verdict == "nonsolvable" and rep.agree
+
+    # a pure skeleton forces the bound to r + 1; a smaller one is a bug
+    monkeypatch.setattr(gm.lb, "min_chain_complexity", lambda P, lab: (3, None))
+    with pytest.raises(SelfCheckFailed) as info:
+        skeleton_shellability_criterion(GL)
+    assert info.value.check == "chain-complexity"
 
 
 def test_thevenaz(gl_s3, gl_a4, gl_a5):

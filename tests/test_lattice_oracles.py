@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 
 from latshell import build_poset, classify_modularity, interval, lattice_check, order_complex
 from latshell import groups as gm
-from latshell.complexes import _delete_element
-from latshell.errors import InvalidCertificate, NotALattice
+from latshell.errors import NotALattice
 from latshell.poset import bits, induced_covers
 
 from lattice_oracles import (
     reference_canonical_covers,
     reference_classify_modularity,
     reference_covers_of_restriction,
-    reference_delete_element,
     reference_interval,
     reference_lattice_check,
     reference_order_complex,
@@ -74,7 +72,7 @@ def fields(P):
 def _outcome(fn, *args):
     try:
         return "value", fn(*args)
-    except (NotALattice, InvalidCertificate) as exc:
+    except NotALattice as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -119,11 +117,6 @@ def test_cover_rows_match_the_four_loops(rng):
         for j in bits(P.up[i]):
             x, y = P.elements[i], P.elements[j]
             assert fields(interval(P, x, y)) == fields(reference_interval(P, x, y))
-
-    full = (1 << P.n) - 1
-    for xi, x in enumerate(P.elements):
-        assert (_outcome(lambda: fields(P.restrict(_delete_element(P, full, xi))))
-                == _outcome(lambda: fields(reference_delete_element(P, x))))
 
     family = random_family(rng, rng.random() < 0.5)
     names = [f"H{i}" for i in range(len(family))]

@@ -7,7 +7,7 @@ left-modular labeling of a chain (the generators' chains, Π5's chain of
 merges 12, 123, 1234, 12345, and the chief series) and r its chain
 complexity bound.  Per lattice it prints:
 
-- ``levels``: recursion levels run (``complexes._vd_level`` calls);
+- ``levels``: shedding levels run (``complexes._shed_level`` calls);
 - ``distinct``: their distinct (mask, t) keys, a sub-poset's mask being
   its members as an index mask over the root;
 - ``spines``: ``labeling._interval_spine`` calls;
@@ -69,10 +69,10 @@ def counts(P, chain) -> dict:
 
     def level(sub, full, t, cache):
         keys.append((sub[2], t))
-        return _vd_level(sub, full, t, cache)
+        return _shed_level(sub, full, t, cache)
 
-    _vd_level = complexes._vd_level
-    patches = [(complexes, "_vd_level", level)]
+    _shed_level = complexes._shed_level
+    patches = [(complexes, "_shed_level", level)]
     for column, owner, attr in (
             ("spines", labeling, "_interval_spine"),
             ("stats", labeling, "stats_of_sequence"),
