@@ -59,12 +59,15 @@ FACE_LIMIT = 200000
 class SimplicialComplex:
     """Immutable complex given by inclusion-maximal faces."""
 
-    __slots__ = ("vertices", "vindex", "facets")
+    __slots__ = ("vertices", "vindex", "facets", "dim")
 
     def __init__(self, vertices, facets):
         self.vertices = tuple(vertices)
         self.vindex = {v: i for i, v in enumerate(self.vertices)}
         self.facets = frozenset(facets)
+        # the dimension, or None for the void complex
+        self.dim = (max(map(int.bit_count, self.facets)) - 1
+                    if self.facets else None)
 
     @classmethod
     def from_faces(cls, vertex_order, faces) -> "SimplicialComplex":
@@ -103,13 +106,6 @@ class SimplicialComplex:
     @property
     def is_empty(self) -> bool:
         return self.facets == frozenset({0})
-
-    @property
-    def dim(self):
-        """Dimension, or None for the void complex."""
-        if self.is_void:
-            return None
-        return max(f.bit_count() for f in self.facets) - 1
 
     @property
     def n_vertices(self) -> int:
@@ -401,21 +397,65 @@ class VDLeaf:
     """Certifies a simplex, the empty complex, or the void complex."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class VDNode:
+    """Sheds ``vertex``: ``deletion`` certifies the complex without it and
+    ``link`` its link.  ``repr`` and ``==`` are the dataclass forms, and
+    ``hash`` agrees with ``==``; all three take an explicit stack, so a
+    deletion chain of any length is read without recursion."""
+
     vertex: str
     deletion: object
     link: object
 
+    def __repr__(self):
+        out = []
+        stack = [(False, self)]
+        while stack:
+            text, item = stack.pop()
+            if text:
+                out.append(item)
+            elif isinstance(item, VDNode):
+                stack += [(True, ")"), (False, item.link), (True, ", link="),
+                          (False, item.deletion),
+                          (True, f"{type(item).__qualname__}(vertex="
+                                 f"{item.vertex!r}, deletion=")]
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not VDNode or b.__class__ is not VDNode:
+                if a != b:
+                    return False
+                continue
+            if a.vertex != b.vertex:
+                return False
+            stack += [(a.link, b.link), (a.deletion, b.deletion)]
+        return True
+
+    def __hash__(self):
+        # the vertices in preorder, which equal certificates share
+        vertices, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is VDNode:
+                vertices.append(node.vertex)
+                stack += [node.link, node.deletion]
+        return hash(tuple(vertices))
+
 
 def validate_vd_certificate(cert, cx: SimplicialComplex) -> bool:
     """Check a certificate node by node against the shedding definition."""
-    for node, sub, _ in _vd_walk(cert, cx):
-        if isinstance(node, VDNode):
-            witness = shedding_failure_witness(sub, node.vertex)
-            if witness is not None:
-                raise InvalidCertificate(f"{node.vertex!r} is not a shedding "
-                                         f"vertex (face {set(witness)!r})")
+    for _ in _vd_walk(cert, cx, check_shedding=True):
+        pass
     return True
 
 
@@ -426,74 +466,121 @@ def shelling_from_vd(cert, cx: SimplicialComplex) -> list:
     order is a shelling for nonpure complexes as well.  It is the leaves'
     facets, each with the vertices coned over it, in the order of the walk.
     """
-    return [sub.names_of(f) | cone for node, sub, cone in _vd_walk(cert, cx)
-            if isinstance(node, VDLeaf) for f in sub.facets]
+    return [cx.names_of(f | cone) for node, facets, cone in _vd_walk(cert, cx)
+            if isinstance(node, VDLeaf) for f in facets]
 
 
-def _vd_walk(cert, cx: SimplicialComplex):
+def _vd_walk(cert, cx: SimplicialComplex, check_shedding: bool = False):
     """Yield each node of ``cert`` with the complex it certifies and the
-    set of vertices coned over it (the vertices whose link holds it), the
-    root with ``cx``; a node's deletion comes before its link, so the
-    leaves come out in shelling order.  An explicit stack holds the pending
-    links, so no deletion chain recurses.  A leaf on more than one facet, a
-    node that is neither kind, and a vertex outside the complex raise
-    ``InvalidCertificate`` before the node is yielded, and a link is taken
-    only when the walk reaches it."""
-    stack = [(cert, cx, None, frozenset())]
+    vertices coned over it (the vertices whose link holds it), the root
+    with ``cx``; a node's deletion comes before its link, so the leaves come
+    out in shelling order.  An explicit stack holds the pending links, so
+    no deletion chain recurses, and a link is taken only when the walk
+    reaches it.
+
+    The complex is yielded as a list of facet masks over ``cx.vertices``,
+    and the cone as a mask over them, so no complex is built or compacted
+    on the way.  The
+    link of the vertex with bit b is the F - b of the facets F through b;
+    the deletion is the facets that avoid b and the exposed F - b, those
+    in none of them (``SimplicialComplex.delete_vertex``), and there are
+    none when the vertex sheds (``shedding_failure_witness``).  Below the
+    root a node's vertices are those some facet holds, as a compacted
+    complex's are.
+
+    A leaf on more than one facet, a node that is neither kind, and a vertex
+    outside the complex raise ``InvalidCertificate`` before the node is
+    yielded, and with ``check_shedding`` a vertex that does not shed raises
+    it after.  Each node carries its trail of steps from the root, and a
+    message that names the node's complex rebuilds it by ``_replay``."""
+    stack = [(cert, list(cx.facets), 0, 0, None)]
     while stack:
-        node, sub, shed, cone = stack.pop()
-        if shed is not None:
-            sub = sub.link_of((shed,))
+        node, facets, cone, shed, trail = stack.pop()
+        if shed:
+            facets = [f & ~shed for f in facets if f & shed]
+            if not facets:
+                _replay(cx, trail)  # raises the link's NotAFace
         if isinstance(node, VDLeaf):
-            if len(sub.facets) > 1:
-                raise InvalidCertificate(f"leaf complex is not a simplex: {sub!r}")
+            if len(facets) > 1:
+                raise InvalidCertificate(
+                    f"leaf complex is not a simplex: {_replay(cx, trail)!r}")
         elif not isinstance(node, VDNode):
             raise InvalidCertificate(f"unexpected node {node!r}")
-        elif node.vertex not in sub.vindex:
-            raise InvalidCertificate(f"vertex {node.vertex!r} not in complex")
-        yield node, sub, cone
+        else:
+            i = cx.vindex.get(node.vertex)
+            if i is None or (trail is not None
+                             and not any(f >> i & 1 for f in facets)):
+                raise InvalidCertificate(f"vertex {node.vertex!r} not in complex")
+        yield node, facets, cone
         if isinstance(node, VDNode):
-            v = node.vertex
-            stack.append((node.link, sub, v, cone | {v}))
-            stack.append((node.deletion, sub.delete_vertex(v), None, cone))
+            v, bit = node.vertex, 1 << i
+            avoiding = [g for g in facets if not g & bit]
+            exposed = [f & ~bit for f in _exposed(facets, avoiding, bit)]
+            if check_shedding and exposed:
+                witness = shedding_failure_witness(_replay(cx, trail), v)
+                raise InvalidCertificate(f"{v!r} is not a shedding "
+                                         f"vertex (face {set(witness)!r})")
+            stack.append((node.link, facets, cone | bit, bit, (trail, True, v)))
+            stack.append((node.deletion, avoiding + exposed, cone, 0,
+                          (trail, False, v)))
+
+
+def _replay(cx: SimplicialComplex, trail) -> SimplicialComplex:
+    """The complex of the ``_vd_walk`` node at the end of ``trail``, built
+    as a compacted ``SimplicialComplex`` by the deletions and links from the
+    root, in the vertex and facet order that the messages read."""
+    steps = []
+    while trail is not None:
+        trail, link, v = trail
+        steps.append((link, v))
+    sub = cx
+    for link, v in reversed(steps):
+        sub = sub.link_of((v,)) if link else sub.delete_vertex(v)
+    return sub
 
 
 def verify_shelling(cx: SimplicialComplex, order) -> bool:
     """Whether ``order`` (facets as vertex-name sets) is a shelling.
 
     Uses the restriction-set form of the nonpure shelling condition
-    (Bjorner-Wachs, *Shellable nonpure complexes and posets I*, 1996); see
-    ``_extends_shelling``.  An order that is not a permutation of the facets
-    raises ``NotFacetPermutation``.
+    (Bjorner-Wachs, *Shellable nonpure complexes and posets I*, 1996).  The
+    restriction set R(F_k) holds each vertex v of F_k whose removal leaves
+    a face of an earlier facet, and F_k extends the shelling iff every
+    earlier F_i misses some vertex of R(F_k).  This equals the pairwise
+    condition (F_i & F_k lies in some earlier F_j & F_k of size |F_k| - 1).
+
+    Both tests read ``holding[u]``, the earlier facets through the vertex
+    u as a bitmask over positions in the order.  v is in R(F_k) iff the AND
+    of ``holding`` over F_k - v is nonzero: such an earlier facet misses v,
+    or it would contain F_k, and facets form an antichain.  Prefix and
+    suffix ANDs give every v in O(|F_k|).  F_k extends iff the AND of
+    ``holding`` over R(F_k), started from all earlier facets, is 0.  So the
+    check takes O(F d) integer ANDs.  An order that is not a permutation of
+    the facets raises ``NotFacetPermutation``.
     """
     order = [frozenset(s) for s in order]
     if sorted(order, key=sorted) != sorted(cx.facet_name_sets(), key=sorted) \
             or len(order) != len(cx.facets):
         raise NotFacetPermutation("order must list each facet exactly once")
-    earlier = []
-    for s in order:
-        fk = cx.mask_of(s)
-        if not _extends_shelling(earlier, fk):
+    holding = [0] * cx.n_vertices
+    earlier = 0
+    for k, s in enumerate(order):
+        us = [cx.vindex[v] for v in s]
+        rows = [holding[u] for u in us]
+        suffix = [earlier]  # suffix[-1 - i]: the AND of earlier and rows[i:]
+        for row in reversed(rows):
+            suffix.append(suffix[-1] & row)
+        prefix = through = earlier
+        for i, row in enumerate(rows):
+            if prefix & suffix[-2 - i]:
+                through &= row
+            prefix &= row
+        if through:
             return False
-        earlier.append(fk)
+        for u in us:
+            holding[u] |= 1 << k
+        earlier |= 1 << k
     return True
-
-
-def _extends_shelling(earlier, fk: int) -> bool:
-    """Whether facet mask ``fk`` may follow the facet masks ``earlier``.
-
-    The restriction set R(F_k) holds each vertex v of F_k whose removal
-    leaves a face of an earlier facet.  F_k extends the shelling iff every
-    earlier F_i misses some vertex of R(F_k).  This equals the pairwise
-    condition (F_i & F_k lies in some earlier F_j & F_k of size |F_k| - 1)
-    at O(F) integer operations per step instead of O(F^2) set operations.
-    """
-    codim1 = fk.bit_count() - 1
-    restriction = 0
-    for fj in earlier:
-        if (fj & fk).bit_count() == codim1:
-            restriction |= fk & ~fj
-    return all(fk & ~fi & restriction for fi in earlier)
 
 
 # --------------------------------------------------------------------------
@@ -882,9 +969,11 @@ def join_skeleton_certificate(factors, t: int):
     of the factor at least level + 1 vertices), and t + 1 <= sum(level + 1)
     over the levels so read.  Shedding vertices are pulled from the factor
     certificates; exchanges across factors exist by purity.  The
-    deletions are walked in a loop, checking the factors at each, and the
-    links, one dimension down, are certified from the last deletion back
-    up.
+    deletions are walked in a loop, and the links, one dimension down, are
+    certified from the last deletion back up.  The factors are checked when
+    they enter, then the target, then the overlap of their vertices; a
+    deletion changes one factor and only removes vertices, so only that
+    factor and the target are checked again.
 
     The leaf test needs no join: skel_t of the join J has at most one facet
     iff t < 0, or every factor has one facet and t = D.  For t < 0 the
@@ -893,30 +982,21 @@ def join_skeleton_certificate(factors, t: int):
     facet of J lies in F: J is the simplex F, which has one facet iff every
     factor has one, and its t-skeleton is F alone iff t + 1 = |F| = D + 1.
     """
+    factors = list(factors)
+    room = [_factor_room(f) for f in factors]
     levels = []  # (shed vertex, link factors, t) per deletion
     while True:
-        total = 0
-        for f in factors:
-            if f.complex.is_void:
-                raise InvalidCertificate("void factor in a join")
-            d = f.complex.dim
-            if f.level < -1:
-                raise InvalidCertificate(f"level {f.level} out of range for dim {d}")
-            level = min(f.level, d)
-            if 0 <= level < d:
-                if min(x.bit_count() for x in f.complex.facets) < level + 1:
-                    raise InvalidCertificate("factor skeleton is not pure")
-            total += level + 1
-        top = sum(f.complex.dim + 1 for f in factors) - 1
+        top = sum(d for d, _ in room) - 1
         t = min(t, top)
-        if t + 1 > total:
+        if t + 1 > sum(r for _, r in room):
             raise InvalidCertificate(f"target {t} exceeds available levels")
-        seen = set()
-        for f in factors:
-            overlap = seen.intersection(f.complex.vertices)
-            if overlap:
-                raise VertexClash(f"shared vertices {sorted(overlap)!r}")
-            seen.update(f.complex.vertices)
+        if not levels:
+            seen = set()
+            for f in factors:
+                overlap = seen.intersection(f.complex.vertices)
+                if overlap:
+                    raise VertexClash(f"shared vertices {sorted(overlap)!r}")
+                seen.update(f.complex.vertices)
 
         if t < 0 or (t == top and all(len(f.complex.facets) == 1 for f in factors)):
             cert = VDLeaf()
@@ -941,11 +1021,26 @@ def join_skeleton_certificate(factors, t: int):
         link_factors = list(factors)
         link_factors[j] = JoinFactor(f.complex.link_of((v,)), link_level, link)
         levels.append((v, link_factors, t))
-        factors = list(factors)
         factors[j] = JoinFactor(f.complex.delete_vertex(v), f.level, deletion)
+        room[j] = _factor_room(factors[j])
     for v, link_factors, t in reversed(levels):
         cert = VDNode(v, cert, join_skeleton_certificate(link_factors, t - 1))
     return cert
+
+
+def _factor_room(f: JoinFactor) -> tuple:
+    """(dim + 1, level + 1) of a join factor, its level read as at most its
+    dimension, once ``join_skeleton_certificate``'s checks of it pass."""
+    if f.complex.is_void:
+        raise InvalidCertificate("void factor in a join")
+    d = f.complex.dim
+    if f.level < -1:
+        raise InvalidCertificate(f"level {f.level} out of range for dim {d}")
+    level = min(f.level, d)
+    if 0 <= level < d:
+        if min(x.bit_count() for x in f.complex.facets) < level + 1:
+            raise InvalidCertificate("factor skeleton is not pure")
+    return d + 1, level + 1
 
 
 # --------------------------------------------------------------------------
@@ -983,9 +1078,11 @@ def _descent_pick(sub, cache: _VDCache) -> DescentPick:
     if not single:
         raise InvalidCertificate("descents exist but no single-descent chain; "
                                  "labeling is not quasi-EL")
-    # greatest by raw label sequence; the element order only breaks exact ties
-    best = max(single, key=lambda c: (stats[c].labels,
-                                      tuple(P.idx(e) for e in c)))
+    # greatest by raw label sequence; the element order only breaks exact
+    # ties, toward the greatest index tuple, and the walk up the cover rows
+    # in index order lists the chains by increasing index tuple, so that is
+    # the last of the tied chains
+    best = max(reversed(single), key=lambda c: stats[c].labels)
     x = stats[best].descents[0]
     xi = P.idx(x)
 
@@ -1017,12 +1114,14 @@ RECHECK_LIMIT = 12
 class _VDCache:
     """What one constructive call learns about the sub-posets of its root,
     the bounded poset ``P``, so that each fact is computed once:
-    certificates by (mask, t), chain lists and spines by mask, and chain
-    statistics by chain.  A sub-poset is ``(lo, hi, mask)``, an index mask
-    over ``P`` with its bottom and top, whose covers are P's among its
-    members (see ``_vd_level``); ``root`` is ``P`` itself."""
+    certificates by (mask, t), chain lists, spines and order complexes by
+    mask, and chain statistics by chain.  A sub-poset is ``(lo, hi,
+    mask)``, an index mask over ``P`` with its bottom and top, whose covers
+    are P's among its members (see ``_vd_level``); ``root`` is ``P``
+    itself."""
 
-    __slots__ = ("P", "root", "lab", "certs", "spines", "chain_lists", "chain_stats")
+    __slots__ = ("P", "root", "lab", "certs", "spines", "chain_lists",
+                 "chain_stats", "complexes")
 
     def __init__(self, P: Poset, lab):
         P.require_bounded()
@@ -1033,18 +1132,34 @@ class _VDCache:
         self.spines = {}
         self.chain_lists = {}
         self.chain_stats = {}
+        self.complexes = {}
 
     def interval(self, lo: int, hi: int, mask: int) -> tuple:
         """The interval [lo, hi] of the sub-poset on ``mask``."""
         return lo, hi, self.P.up[lo] & self.P.down[hi] & mask
 
-    def chains(self, sub) -> list:
-        """The maximal chains of ``sub`` as tuples of names, in DFS order."""
-        out = self.chain_lists.get(sub[2])
+    def chains(self, sub, x=None) -> list:
+        """The maximal chains of ``sub`` as tuples of names, in DFS order.
+
+        A chain of ``sub`` is a walk up P's covers from lo to hi inside its
+        mask.  So when the element of index ``x`` lies strictly between lo
+        and hi, outside the mask, and the chains of the mask with x put back
+        are known, the chains of ``sub`` are those that avoid x, in the
+        same order; otherwise the walk is taken."""
+        lo, hi, mask = sub
+        out = self.chain_lists.get(mask)
         if out is None:
-            name = self.P.elements.__getitem__
-            out = self.chain_lists[sub[2]] = [
-                tuple(map(name, c)) for c in self.P.maximal_chains_idx(*sub)]
+            P = self.P
+            parent = None
+            if x is not None and (P.up[lo] & P.down[hi]) >> x & 1:
+                parent = self.chain_lists.get(mask | 1 << x)
+            if parent is not None:
+                name = P.elements[x]
+                out = [c for c in parent if name not in c]
+            else:
+                name = P.elements.__getitem__
+                out = [tuple(map(name, c)) for c in P.maximal_chains_idx(*sub)]
+            self.chain_lists[mask] = out
         return out
 
     def stats(self, chain: tuple):
@@ -1053,18 +1168,24 @@ class _VDCache:
             out = self.chain_stats[chain] = self.lab.stats(chain)
         return out
 
-    def spine(self, sub):
-        """The spine or Violation of ``sub``, as ``labeling.interval_spine``."""
+    def spine(self, sub, x=None):
+        """The spine or Violation of ``sub``, as ``labeling.interval_spine``;
+        ``x`` as in ``chains``."""
         out = self.spines.get(sub[2])
         if out is None:
             out = self.spines[sub[2]] = lb._interval_spine(
-                {c: self.stats(c).labels for c in self.chains(sub)})
+                {c: self.stats(c).labels for c in self.chains(sub, x)})
         return out
 
-    def complex(self, sub) -> SimplicialComplex:
-        """The order complex of ``sub``, from its chains."""
+    def complex(self, sub, x=None) -> SimplicialComplex:
+        """The order complex of ``sub``, from its chains; ``x`` as in
+        ``chains``."""
         lo, hi, mask = sub
-        return chain_complex(self.P, self.chains(sub), mask & ~(1 << lo | 1 << hi))
+        out = self.complexes.get(mask)
+        if out is None:
+            out = self.complexes[mask] = chain_complex(
+                self.P, self.chains(sub, x), mask & ~(1 << lo | 1 << hi))
+        return out
 
     def min_complexity(self, sub) -> int:
         """``labeling.min_chain_complexity(., lab)[0]`` of ``sub``."""
@@ -1083,7 +1204,9 @@ def constructive_vd_skeleton(P: Poset, lab, target_r: int):
     bound = cache.min_complexity(cache.root)
     if target_r > bound:
         raise TargetTooLarge(f"target {target_r} exceeds the bound {bound}")
-    return _vd_level(cache.root, cache.complex(cache.root), target_r - 2, cache)
+    full = cache.complex(cache.root)
+    cert = _vd_level(cache.root, full, target_r - 2, cache)
+    return full.skeleton(min(target_r - 2, full.dim)), cert
 
 
 def constructive_vd_full(P: Poset, lab):
@@ -1096,12 +1219,12 @@ def constructive_vd_full(P: Poset, lab):
             if seq[k] == seq[k + 1] == seq[k + 2]:
                 raise RepeatRunTooLong(names, seq[k])
     cx = cache.complex(cache.root)
-    return cx, _vd_level(cache.root, cx, cx.dim, cache)[1]
+    return cx, _vd_level(cache.root, cx, cx.dim, cache)
 
 
 def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
-    """skel_t of ``full``, the order complex of the sub-poset ``sub``, with
-    t read as at most its dimension, and a certificate for it.
+    """A certificate for skel_t of ``full``, the order complex of the
+    sub-poset ``sub``, with t read as at most its dimension.
 
     The deletion chain is walked in a loop.  Each level
     (``_shed_level``) sheds the descent element x of the
@@ -1114,7 +1237,11 @@ def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
     the first error raised are the same.  Only the links recurse, one
     dimension down, so the stack grows with the dimension, not with the
     number of elements shed.  Each deletion's certificate is stored by
-    (mask, t); ``_split_factors`` stores an interval's.
+    (mask, t); ``_split_factors`` stores an interval's.  No skeleton is
+    built on the way down: a level's link join is checked against the
+    (t - 1)-skeleton of the link of x in ``full``, which is the link of x
+    in skel_t, as both hold the faces F - x of dimension at most t - 1
+    with F through x.
 
     That is exact.  Every poset met is an interval or a deletion of one met
     before, starting from the root, and is carried as ``(lo, hi, mask)``:
@@ -1132,55 +1259,66 @@ def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
     (``Poset.maximal_chains_idx(lo, hi, within)``), and with them its
     spine, its order complex, and with t its certificate, whichever branch
     reaches it.  A chain's names fix its statistics.  A failure ends the
-    call, so only results are stored.
+    call, so only results are stored.  The walk inside P - x is the walk
+    inside P that avoids x, so a deletion's chains are read off its
+    parent's (``_VDCache.chains``), and so are those of each interval
+    [a, b] of it with a < x < b in the recheck, that interval being [a, b]
+    of P less x.
     """
-    levels = []  # (sub, skeleton, t, x) of each level that sheds x
+    levels = []  # (sub, full, t, x) of each level that sheds x
     while True:
-        cx, t, x, cert = _shed_level(sub, full, t, cache)
+        t, x, cert = _shed_level(sub, full, t, cache)
         if x is None:
             break
-        levels.append((sub, cx, t, x))
-        sub = sub[:2] + (sub[2] & ~(1 << cache.P.index[x]),)
+        levels.append((sub, full, t, x))
+        xi = cache.P.index[x]
+        sub = sub[:2] + (sub[2] & ~(1 << xi),)
         cert = cache.certs.get((sub[2], t))
         if cert is not None:
             break
-        full = cache.complex(sub)
-    for sub, skel, t, x in reversed(levels):
+        full = cache.complex(sub, xi)
+    for sub, full, t, x in reversed(levels):
         xi = cache.P.index[x]
         cache.certs[(sub[2] & ~(1 << xi), t)] = cert
         link_factors = _split_factors(sub, xi, t, cache)
-        _check_join(link_factors, t - 1, skel.link_of((x,)),
+        _check_join(link_factors, t - 1, full.link_of((x,)).skeleton(t - 1),
                     "link join does not match the complex link")
         cert = VDNode(x, cert, join_skeleton_certificate(link_factors, t - 1))
-    return (levels[0][1] if levels else cx), cert
+    return cert
 
 
 def _shed_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
-    """One level of ``_vd_level``: (skel_t of ``full``, t read as at most
-    its dimension, x, None) when the descent element x is to be shed, else
-    (skeleton, t, None, certificate) for a leaf, or, with every chain weakly
-    ascending, for the join of ``_base_case_factors``.  When ``sub`` has at
-    most ``RECHECK_LIMIT`` elements, the deletion of x is first verified
-    again with the interval spines of the call."""
+    """One level of ``_vd_level``: (t read as at most the dimension of
+    ``full``, x, None) when the descent element x is to be shed, else (t,
+    None, certificate) for a leaf, or, with every chain weakly ascending,
+    for the join of ``_base_case_factors``.  When ``sub`` has at most
+    ``RECHECK_LIMIT`` elements, the deletion of x is first verified again
+    with the interval spines of the call.
+
+    Only the base case builds skel_t of ``full``.  The leaf test reads
+    ``full``: skel_t has at most one facet iff t < 0, or ``full`` is one
+    simplex and t its dimension, as a larger facet has at least two
+    (t + 1)-subsets."""
     t = min(t, full.dim)
-    cx = full.skeleton(t)
-    if len(cx.facets) <= 1:
-        return cx, t, None, VDLeaf()
+    if t < 0 or (len(full.facets) == 1 and t == full.dim):
+        return t, None, VDLeaf()
     try:
         x = _descent_pick(sub, cache).element
     except AllChainsAscending:
         factors = _base_case_factors(sub, t, cache)
         cert = join_skeleton_certificate(factors, t)
-        _check_join(factors, t, cx, "base case join does not match the skeleton")
-        return cx, t, None, cert
+        _check_join(factors, t, full.skeleton(t),
+                    "base case join does not match the skeleton")
+        return t, None, cert
 
-    mask = sub[2]
-    rest = mask & ~(1 << cache.P.index[x])
+    mask, xi = sub[2], cache.P.index[x]
+    rest = mask & ~(1 << xi)
     if mask.bit_count() <= RECHECK_LIMIT and not lb._spine_verdict(
-            cache.P, rest, lambda a, b: cache.spine(cache.interval(a, b, rest))).ok:
+            cache.P, rest,
+            lambda a, b: cache.spine(cache.interval(a, b, rest), xi)).ok:
         raise InvalidCertificate(
             f"restriction away from {x!r} lost the labeling axioms")
-    return cx, t, x, None
+    return t, x, None
 
 
 def _check_join(factors, t: int, expected: SimplicialComplex, message: str):
@@ -1244,7 +1382,7 @@ def _split_factors(sub, xi: int, t: int, cache: _VDCache):
             cert = cache.certs.get((part[2], level))
             if cert is None:
                 cert = cache.certs[(part[2], level)] = _vd_level(
-                    part, cxf, level, cache)[1]
+                    part, cxf, level, cache)
             factors.append(JoinFactor(cxf, level, cert))
         else:
             factors.append(JoinFactor(cxf, -1, VDLeaf()))

@@ -274,8 +274,9 @@ def _interval_spine(seqs: dict):
 
     Every valid spine is a bottom-to-top subchain of ``finest``, the common
     refinement of the weakly ascending maximal chains, whose gaps are
-    constant: ``_gap_labels`` reads one label off each of them, from each
-    chain's map of its elements to their positions, built once.
+    constant: a gap that is one cover of the first ascending chain has that
+    cover's label, and ``_gap_labels`` reads a longer one off every chain's
+    map of its elements to their positions, built when first needed.
 
     Constant gaps are closed under refinement: a gap [u', v'] inside a
     constant gap [u, v] holds only covers of [u, v], so it is constant with
@@ -309,7 +310,8 @@ def _interval_spine(seqs: dict):
     common = set(first).intersection(*map(set, ascending[1:]))
     finest = [e for e in first if e in common]
     step = dict(zip(first, seqs[first]))
-    positions = [({e: k for k, e in enumerate(c)}, seq) for c, seq in seqs.items()]
+    at = {e: k for k, e in enumerate(first)}
+    positions = None
     kept, alphas = [y], []
     j = len(finest) - 1
     while j:
@@ -317,7 +319,14 @@ def _interval_spine(seqs: dict):
         while run and step[finest[run - 1]] == step[finest[j - 1]]:
             run -= 1
         for i in range(run, j):
-            labels = _gap_labels(positions, finest[i], finest[j])
+            u, v = finest[i], finest[j]
+            if at[v] - at[u] == 1:
+                labels = {step[u]}  # one cover: the gap has that one label
+            else:
+                if positions is None:
+                    positions = [({e: k for k, e in enumerate(c)}, seq)
+                                 for c, seq in seqs.items()]
+                labels = _gap_labels(positions, u, v)
             if len(labels) == 1:
                 break
         else:

@@ -20,6 +20,13 @@ depth, with homology taken by the ``Fraction`` oracle above.
 
 ``reference_delete_vertex`` maximalizes every F - v, as ``delete_vertex``
 did before it kept the facets that avoid v as they stand.
+
+``reference_validate_vd_certificate`` and ``reference_shelling_from_vd``
+read a certificate by the walk from before the readers moved to facet
+masks: every node's complex is built and compacted as a
+``SimplicialComplex`` by ``delete_vertex`` and ``link_of``, and each
+vertex is tested by ``shedding_failure_witness`` on it.
+
 ``reference_constructive_vd_skeleton`` and ``reference_constructive_vd_full``
 are the constructive recursion before its per-call cache: every level
 walks its chains, computes their statistics, builds the order complex of
@@ -48,6 +55,7 @@ from latshell.complexes import (
     cert_simplex_skeleton,
     empty_complex,
     join_skeleton_certificate,
+    shedding_failure_witness,
     simplex_complex,
 )
 from latshell.errors import (
@@ -82,6 +90,44 @@ def reference_verify_shelling(cx: SimplicialComplex, order) -> bool:
                        for j in range(k)):
                 return False
     return True
+
+
+def reference_validate_vd_certificate(cert, cx: SimplicialComplex) -> bool:
+    for node, sub, _ in _reference_vd_walk(cert, cx):
+        if isinstance(node, VDNode):
+            witness = shedding_failure_witness(sub, node.vertex)
+            if witness is not None:
+                raise InvalidCertificate(f"{node.vertex!r} is not a shedding "
+                                         f"vertex (face {set(witness)!r})")
+    return True
+
+
+def reference_shelling_from_vd(cert, cx: SimplicialComplex) -> list:
+    return [sub.names_of(f) | cone for node, sub, cone in _reference_vd_walk(cert, cx)
+            if isinstance(node, VDLeaf) for f in sub.facets]
+
+
+def _reference_vd_walk(cert, cx: SimplicialComplex):
+    """Each node with its compacted complex and the vertex names coned over
+    it, deletions before links, the links taken when the walk reaches
+    them."""
+    stack = [(cert, cx, None, frozenset())]
+    while stack:
+        node, sub, shed, cone = stack.pop()
+        if shed is not None:
+            sub = sub.link_of((shed,))
+        if isinstance(node, VDLeaf):
+            if len(sub.facets) > 1:
+                raise InvalidCertificate(f"leaf complex is not a simplex: {sub!r}")
+        elif not isinstance(node, VDNode):
+            raise InvalidCertificate(f"unexpected node {node!r}")
+        elif node.vertex not in sub.vindex:
+            raise InvalidCertificate(f"vertex {node.vertex!r} not in complex")
+        yield node, sub, cone
+        if isinstance(node, VDNode):
+            v = node.vertex
+            stack.append((node.link, sub, v, cone | {v}))
+            stack.append((node.deletion, sub.delete_vertex(v), None, cone))
 
 
 def reference_betti_numbers(cx: SimplicialComplex, limit: int = 200000,

@@ -351,8 +351,8 @@ def test_long_deletion_chain_is_walked_in_a_loop():
     """With the chain 0 < a1 < 1 every chain through another atom has one
     descent, so the decomposition of the 600 points sheds a600, ..., a2 in
     turn, a deletion chain 599 levels deep; each link is the empty
-    complex.  Certificates are compared through the readers, as ``repr``
-    and ``==`` of a deep certificate recurse."""
+    complex.  ``test_vd_readers`` reads the same certificate's ``repr``,
+    ``==`` and ``hash``."""
     L, atoms = wide_lattice(600)
     lab = left_modular_labeling(L, verify_chain_modularity(L, ["0", "a1", "1"]))
     bound, _ = min_chain_complexity(L.poset, lab)
@@ -555,6 +555,18 @@ def test_b6_skeleton_shelling_verifies():
     order = shelling_from_vd(cert, cx)
     assert verify_shelling(cx, order)
     # moving the last facet to the front breaks the shelling
+    assert not verify_shelling(cx, order[-1:] + order[:-1])
+
+
+def test_lexicographic_order_shells_a_large_simplex_skeleton():
+    """The 4 845 facets of the 3-skeleton of the 19-simplex, in
+    lexicographic order, are a shelling; with the last moved to the front,
+    the next facet meets it in the empty face, and they are not."""
+    names = [f"v{i:02}" for i in range(20)]
+    cx = simplex_complex(names).skeleton(3)
+    order = [frozenset(c) for c in itertools.combinations(names, 4)]
+    assert len(cx.facets) == len(order) == 4845
+    assert verify_shelling(cx, order)
     assert not verify_shelling(cx, order[-1:] + order[:-1])
 
 

@@ -1,6 +1,7 @@
 """The constructive VD recursion with its per-call cache against the
-uncached recursion in ``complex_oracles``, and ``delete_vertex`` against
-the maximalizing oracle."""
+uncached recursion in ``complex_oracles``, the chain lists it derives from
+parent sub-posets against fresh walks, and ``delete_vertex`` against the
+maximalizing oracle."""
 
 import hashlib
 
@@ -100,6 +101,61 @@ def test_each_level_runs_once(monkeypatch):
     lab = lb.left_modular_labeling(L, verify_chain_modularity(L, chain))
     reference_constructive_vd_skeleton(P, lab, lb.min_chain_complexity(P, lab)[0])
     assert len(calls) == 69 and len(set(calls)) == 59
+
+
+def _caches_of(fn, *args) -> list:
+    """The ``_VDCache`` objects that ``fn(*args)`` makes, whether or not
+    the call raises ``LatshellError``."""
+    caches = []
+
+    class Kept(cxm._VDCache):
+        __slots__ = ()
+
+        def __init__(self, *a):
+            super().__init__(*a)
+            caches.append(self)
+
+    made = cxm._VDCache
+    cxm._VDCache = Kept
+    try:
+        fn(*args)
+    except LatshellError:
+        pass
+    finally:
+        cxm._VDCache = made
+    return caches
+
+
+def _assert_chain_lists_are_walks(caches):
+    """Every chain list a cache holds, many of them filtered from a parent
+    sub-poset's, is the walk ``Poset.maximal_chains_idx`` inside its mask,
+    mapped to names."""
+    for cache in caches:
+        P = cache.P
+        name = P.elements.__getitem__
+        assert cache.chain_lists
+        for mask, chains in cache.chain_lists.items():
+            lo = next(i for i in bits(mask) if P.up[i] & mask == mask)
+            hi = next(i for i in bits(mask) if P.down[i] & mask == mask)
+            assert chains == [tuple(map(name, c))
+                              for c in P.maximal_chains_idx(lo, hi, mask)]
+
+
+def test_derived_chain_lists_are_walks_on_the_six_lattices():
+    for _, P, chain in vd_counts.lattices():
+        _assert_chain_lists_are_walks(_caches_of(vd_counts.counts, P, chain))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_derived_chain_lists_are_walks(rng):
+    P = random_poset(rng)
+    lab = random_labeling(rng, P)
+    bound, _ = lb.min_chain_complexity(P, lab)
+    for t in range(1, bound + 2):
+        _assert_chain_lists_are_walks(
+            _caches_of(cxm.constructive_vd_skeleton, P, lab, t))
+    _assert_chain_lists_are_walks(_caches_of(cxm.constructive_vd_full, P, lab))
 
 
 @given(st.randoms(use_true_random=False))

@@ -16,9 +16,12 @@ complexity bound.  Per lattice it prints:
 - ``complexes``: order complexes built (``poset.chain_complex`` calls,
   which ``order_complex`` makes too);
 - ``posets``: ``Poset`` objects built (``Poset.__init__`` calls);
+- ``compacts``: ``SimplicialComplex.compact`` calls, over the call and
+  then ``validate_vd_certificate`` and ``shelling_from_vd`` on its
+  certificate, which build none of the things counted before;
 
 then the totals.  The counts are taken by wrapping those functions for the
-length of the call.
+length of the calls.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 COLUMNS = ("levels", "distinct", "spines", "stats", "walks", "complexes",
-           "posets")
+           "posets", "compacts")
 
 
 def lattices():
@@ -51,7 +54,8 @@ def lattices():
 
 def counts(P, chain) -> dict:
     """The work counts of one ``constructive_vd_skeleton`` call on ``P``
-    with the left-modular labeling of ``chain``, at its bound."""
+    with the left-modular labeling of ``chain``, at its bound, and of the
+    two readers of its certificate."""
     from latshell import complexes, labeling, lattice, poset
 
     L = lattice.lattice_check(P)
@@ -79,13 +83,16 @@ def counts(P, chain) -> dict:
             ("walks", poset.Poset, "maximal_chains_idx"),
             ("complexes", poset, "chain_complex"),
             ("complexes", complexes, "chain_complex"),
-            ("posets", poset.Poset, "__init__")):
+            ("posets", poset.Poset, "__init__"),
+            ("compacts", complexes.SimplicialComplex, "compact")):
         patches.append((owner, attr, counting(column, getattr(owner, attr))))
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
     try:
         for owner, attr, fn in patches:
             setattr(owner, attr, fn)
-        complexes.constructive_vd_skeleton(P, lab, r)
+        cx, cert = complexes.constructive_vd_skeleton(P, lab, r)
+        complexes.validate_vd_certificate(cert, cx)
+        complexes.shelling_from_vd(cert, cx)
     finally:
         for owner, attr, fn in saved:
             setattr(owner, attr, fn)
