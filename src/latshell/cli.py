@@ -214,7 +214,7 @@ def _parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("json", "text"), default="json")
     top.add_argument("--limit-chains", type=int, default=mm.CHAIN_LIMIT)
     top.add_argument("--limit-faces", type=int, default=cxm.FACE_LIMIT)
-    top.add_argument("--limit-vd-vertices", type=int, default=25)
+    top.add_argument("--limit-vd-vertices", type=int, default=cxm.VD_VERTEX_LIMIT)
     top.add_argument("--limit-order", type=int, default=gm.ORDER_LIMIT)
     sub = top.add_subparsers(dest="cmd", required=True)
 

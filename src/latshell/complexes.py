@@ -54,6 +54,9 @@ from .poset import Chain, Poset, bits, chain_complex
 # Largest face count of a complex whose homology, depth or Cohen-Macaulay
 # test is computed (the CLI's --limit-faces default).
 FACE_LIMIT = 200000
+# Largest vertex count that is_vd_bruteforce searches (the CLI's
+# --limit-vd-vertices default).
+VD_VERTEX_LIMIT = 25
 
 
 class SimplicialComplex:
@@ -246,20 +249,6 @@ class SimplicialComplex:
         facets = avoiding + [f & ~bit for f in _exposed(self.facets, avoiding, bit)]
         return SimplicialComplex(self.vertices, facets).compact()
 
-    def delete_face(self, names) -> "SimplicialComplex":
-        """Remove all faces containing the given vertex set."""
-        sigma = self.mask_of(names)
-        if sigma == 0:
-            return SimplicialComplex((), frozenset())
-        keep = set()
-        for f in self.facets:
-            if f & sigma != sigma:
-                keep.add(f)
-            else:
-                for i in bits(sigma):
-                    keep.add(f & ~(1 << i))
-        return SimplicialComplex(self.vertices, _maximalize(keep)).compact()
-
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         overlap = set(self.vertices) & set(other.vertices)
         if overlap:
@@ -354,7 +343,8 @@ def is_shedding_vertex(cx: SimplicialComplex, v) -> bool:
     return shedding_failure_witness(cx, v) is None
 
 
-def is_vd_bruteforce(cx: SimplicialComplex, max_vertices: int = 25) -> bool:
+def is_vd_bruteforce(cx: SimplicialComplex,
+                     max_vertices: int = VD_VERTEX_LIMIT) -> bool:
     """Exhaustive search for a shedding recursion; simplices, the empty
     complex, and the void complex are decomposable by definition."""
     refuse_vd_vertices(cx, max_vertices)

@@ -10,9 +10,9 @@ subgroup of prime-power order (a zuppo) per orbit of its normalizer N(H)
 on the zuppos outside H, since for n in N(H) the extension by z^n is the
 extension by z conjugated by n.  Each extension is a Dimino coset closure
 on the table, and each new subgroup brings in its conjugates, its
-generators and, by Schreier's lemma, its normalizer's generators from one
-walk of table lookups.  The same closure builds the derived series and
-checks the lattice's joins.
+generators, whether it is normal and, by Schreier's lemma, its
+normalizer's generators from one walk of table lookups.  The same closure
+builds the derived series and checks the lattice's joins.
 """
 
 from __future__ import annotations
@@ -287,20 +287,22 @@ def subgroups(G: PermGroup, order_limit: int = ORDER_LIMIT) -> list[frozenset]:
     Returned as frozensets of permutations, sorted by (order, elements).
     """
     return [frozenset(G.elements[i] for i in members)
-            for members, _, _ in _subgroup_classes(G, order_limit)]
+            for members, *_ in _subgroup_classes(G, order_limit)]
 
 
 def _subgroup_classes(G: PermGroup, order_limit: int) -> list[tuple]:
     """The subgroups of ``subgroups(G)``, in its order, each as (frozenset
-    of table indices, element list with the identity first, generators).
+    of table indices, element list with the identity first, generators,
+    normal flag).
 
     Each new subgroup K brings in its whole class by conjugating with the
     group's generators s through table lookups; a conjugate's generators
-    are K's, conjugated.  The walk records a transversal,
-    K_i = t_i K t_i^-1, and each time s sends K_i to a K_j seen before,
-    t_j^-1 s t_i normalizes K.  By Schreier's lemma these elements generate
-    N(K), and closing K by them gives N(K)'s generators.  The trivial
-    subgroup's normalizer is G, generated by G's generators.
+    are K's, conjugated.  The generators of G reach every conjugate, so K
+    is normal exactly when its class has one member.  The walk records a
+    transversal, K_i = t_i K t_i^-1, and each time s sends K_i to a K_j
+    seen before, t_j^-1 s t_i normalizes K.  By Schreier's lemma these
+    elements generate N(K), and closing K by them gives N(K)'s generators.
+    The trivial subgroup's normalizer is G, generated by G's generators.
     """
     if G.order > order_limit:
         raise OrderLimit(f"group order {G.order} exceeds the order limit "
@@ -351,7 +353,7 @@ def _subgroup_classes(G: PermGroup, order_limit: int) -> list[tuple]:
     conjugators = [(s, [table[sh][inv[s]] for sh in table[s]])
                    for s in gen_idx]
     trivial = frozenset([e])
-    known = {trivial: ([e], [])}
+    known = {trivial: ([e], [], True)}
     reps = [(trivial, [e], [], None)]
     for members, elems, gens, schreier in reps:
         if len(members) == G.order:
@@ -381,24 +383,11 @@ def _subgroup_classes(G: PermGroup, order_limit: int) -> list[tuple]:
                         K_schreier.append(
                             table[table[inv[transversal[j]]][s]][transversal[i]])
             for key, j in where.items():
-                known[key] = orbit[j]
+                known[key] = (*orbit[j], len(orbit) == 1)
             reps.append((K, K_elems, K_gens, K_schreier))
 
     ranked = sorted(known, key=lambda m: (len(m), sorted(m)))
     return [(m, *known[m]) for m in ranked]
-
-
-def is_normal(G: PermGroup, H: frozenset) -> bool:
-    table = G.table()
-    inv = G.inverse_indices()
-    members = {G.index(p) for p in H}
-    for p in G.generators:
-        g = G.index(p)
-        row, gi = table[g], inv[g]
-        for h in members:
-            if table[row[h]][gi] not in members:
-                return False
-    return True
 
 
 def is_solvable(G: PermGroup) -> bool:
@@ -455,16 +444,17 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLatti
     """Build the subgroup lattice, verify the meet/join identities, flag
     normal subgroups, and fix a deterministic chief series.
 
-    Subgroups are held as sets and masks of ``G.table()`` indices.  Meets
-    are checked against intersections for all pairs; joins for all pairs
-    up to ``JOIN_CHECK_LIMIT`` subgroups, and on a deterministic sample
-    beyond that, against the larger subgroup closed by the smaller one's
+    Subgroups are held as sets and masks of ``G.table()`` indices, and the
+    enumerator's class walk tells which are normal.  Meets are checked
+    against intersections for all pairs; joins for all pairs up to
+    ``JOIN_CHECK_LIMIT`` subgroups, and on a deterministic sample beyond
+    that, against the larger subgroup closed by the smaller one's
     generators, which the enumerator keeps.  Every normal subgroup must
     classify as two-sided modular, and the chief series check reuses those
     reports.
     """
     classes = _subgroup_classes(G, order_limit)
-    members = [m for m, _, _ in classes]
+    members = [m for m, *_ in classes]
     subs = [frozenset(G.elements[i] for i in m) for m in members]
     n = len(subs)
     names = [f"H{i}" for i in range(n)]
@@ -496,11 +486,11 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLatti
     table = G.table()
     for i, j in pairs:
         # H_j is at least as large as H_i; close it by H_i's generators
-        if members[join[i][j]] != _extend(table, *classes[j], classes[i][2])[0]:
+        if members[join[i][j]] != _extend(table, *classes[j][:3], classes[i][2])[0]:
             raise SelfCheckFailed("join", f"join of {names[i]} and {names[j]} "
                                           "disagrees with generated subgroup")
 
-    normal = sum(1 << i for i, h in enumerate(subs) if is_normal(G, h))
+    normal = sum(1 << i for i, c in enumerate(classes) if c[3])
     normal_names = {names[i] for i in bits(normal)}
     reports = {}
     for nm in sorted(normal_names):

@@ -192,15 +192,6 @@ def stats_of_sequence(elems: tuple, labels: tuple) -> ChainStats:
     )
 
 
-def lamplus_sequence(P: Poset, lab: EdgeLabeling, elems) -> tuple:
-    """Tie-broken label sequence: (label, position of upper element).
-
-    The linear extension used for tie-breaking is the element input order,
-    which makes the induced lexicographic order on maximal chains total.
-    """
-    return tuple((lab.label(a, b), P.idx(b)) for a, b in zip(elems, elems[1:]))
-
-
 def min_chain_complexity(P: Poset, lab: EdgeLabeling):
     """Minimum of (distinct labels + repeated labels) over maximal chains.
 

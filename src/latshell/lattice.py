@@ -245,10 +245,17 @@ def chains_of_complements(L: Lattice, m: ModularChain) -> list[Chain]:
 
 def complement_refinements(L: Lattice, m: ModularChain) -> set:
     """The maximal chains, as name tuples, that contain a chain of
-    complements to the proper elements of ``m``."""
-    comp_chains = [set(c.elements) for c in chains_of_complements(L, m)]
+    complements to the proper elements of ``m``.
+
+    A maximal chain contains one of ``chains_of_complements(L, m)``
+    exactly when it meets the complement set of every proper element of
+    ``m``: one complement of each, taken from the chain, is a chain, as
+    any subset of a chain is.  So each chain is tested by membership, and
+    no product of the complement sets is formed.
+    """
+    comp_sets = [set(complements(L, x)) for x in m.elements[1:-1]]
     return {c for c in L.poset.chains()
-            if any(cc <= set(c) for cc in comp_chains)}
+            if not any(s.isdisjoint(c) for s in comp_sets)}
 
 
 def is_distributive(L: Lattice) -> bool:

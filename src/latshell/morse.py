@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .complexes import betti_numbers
 from .errors import SizeLimit
 from .lattice import Lattice, ModularChain, complement_refinements
-from .labeling import ChainStats, EdgeLabeling, lamplus_sequence
+from .labeling import ChainStats, EdgeLabeling
 from .poset import Chain, Poset, bits, order_complex
 
 # Largest maximal-chain count that the chain analyses enumerate (the CLI's
@@ -71,27 +71,35 @@ class MorseReport:
                  "homological proxy: vanishing reduced rational homology")
 
 
+def _step_key(P: Poset, lab: EdgeLabeling):
+    """``key(a, z)``: the (label, index of z) of the cover a < z, on
+    element indices.  Chains are ordered by their keys step by step; the
+    element input order breaks ties between equal labels, which makes the
+    lexicographic order on maximal chains total."""
+    return lambda a, z: (lab.label(P.elements[a], P.elements[z]), z)
+
+
 def _ordered_chains(P: Poset, lab: EdgeLabeling, limit: int = CHAIN_LIMIT):
     count = P.maximal_chain_count()
     if count > limit:
         raise SizeLimit(f"poset has {count} maximal chains, more than "
                         f"the chain limit {limit}; raise it with --limit-chains")
-    chains = P.chains()
-    chains.sort(key=lambda c: lamplus_sequence(P, lab, c))
-    return chains
+    key = _step_key(P, lab)
+    chains = sorted(P.maximal_chains_idx(),
+                    key=lambda c: tuple(map(key, c, c[1:])))
+    return [tuple(map(P.elements.__getitem__, c)) for c in chains]
 
 
 def _first_step(P: Poset, lab: EdgeLabeling):
-    """``step(a, hi)``: the least (label, index) cover z of a with z <= hi,
+    """``step(a, hi)``: the least ``_step_key`` cover z of a with z <= hi,
     the first step of the lexicographically first maximal chain of
     [a, hi].  Every such z extends to hi, so that chain is greedy.
     Memoised per (a, hi)."""
-    names = P.elements
+    key = _step_key(P, lab)
 
     @functools.cache
     def step(a, hi):
-        return min(bits(P.cover_up[a] & P.down[hi]),
-                   key=lambda z: (lab.label(names[a], names[z]), z))
+        return min(bits(P.cover_up[a] & P.down[hi]), key=lambda z: key(a, z))
 
     return step
 

@@ -6,9 +6,11 @@ permutation products, which the library built before it read the table off
 the generators' rows.  ``reference_subgroups`` is the all-pairs join
 fixpoint the library used before it enumerated subgroups by conjugacy
 class, and ``reference_is_solvable`` is the derived series by |H|^2
-commutator products.  They are kept as they were, on this module's own
-permutation products and table, so they share no code with the routines
-they check.
+commutator products.  ``reference_is_normal`` conjugates a subgroup by
+every element of the group, where the library reads normality off the
+size of the subgroup's class in its enumeration.  They are kept as they
+were, on this module's own permutation products and table, so they share
+no code with the routines they check.
 """
 
 from latshell.errors import OrderLimit
@@ -143,3 +145,9 @@ def reference_is_solvable(G: PermGroup) -> bool:
         if nxt == current:
             return len(current) == 1
         current = nxt
+
+
+def reference_is_normal(G: PermGroup, H: frozenset) -> bool:
+    """g H g^-1 == H for every element g of G, in permutation space."""
+    return all({_mul(_mul(g, h), _inv(g)) for h in H} == H
+               for g in G.elements)

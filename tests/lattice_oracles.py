@@ -14,13 +14,16 @@ containment loop of ``subgroup_lattice``, the canonical covers of
 of the constructive VD recursion, which ``complex_oracles`` still uses.
 ``reference_interval`` is the interval
 builder that remapped P's up-set and cover rows by hand before
-``Poset.restrict``.  They are kept as they were, so they share no code with
-the routines they check.
+``Poset.restrict``.  ``reference_complement_refinements`` tests each
+maximal chain against every chain of ``chains_of_complements``, which
+forms the product of the complement sets, where the library tests each
+maximal chain by membership in the complement sets.  They are kept as they
+were, so they share no code with the routines they check.
 """
 
 from latshell.complexes import SimplicialComplex
 from latshell.errors import InvalidCertificate, NotALattice
-from latshell.lattice import Lattice, ModularityReport
+from latshell.lattice import Lattice, ModularityReport, chains_of_complements
 from latshell.poset import Poset, bits, build_poset
 
 
@@ -190,3 +193,11 @@ def reference_interval(P: Poset, x: str, y: str) -> Poset:
         for j2 in bits(P.cover_up[k] & members):
             cov[t] |= 1 << pos[j2]
     return Poset([P.elements[k] for k in sub], up, cov, pos[i], pos[j])
+
+
+def reference_complement_refinements(L: Lattice, m) -> set:
+    """The maximal chains, as name tuples, that contain a chain of
+    complements to the proper elements of ``m``."""
+    comp_chains = [set(c.elements) for c in chains_of_complements(L, m)]
+    return {c for c in L.poset.chains()
+            if any(cc <= set(c) for cc in comp_chains)}

@@ -9,7 +9,7 @@ The library now reads skipped intervals off the first chains of intervals;
 from __future__ import annotations
 
 from latshell.errors import NotMaximal, SizeLimit
-from latshell.labeling import EdgeLabeling, lamplus_sequence
+from latshell.labeling import EdgeLabeling
 from latshell.morse import SkippedInterval
 from latshell.poset import Chain, Poset
 
@@ -19,7 +19,8 @@ def _ordered_chains(P: Poset, lab: EdgeLabeling, limit: int = 20000):
     if len(chains) > limit:
         raise SizeLimit(f"poset has {len(chains)} maximal chains, more than "
                         f"the chain limit {limit}; raise it with --limit-chains")
-    chains.sort(key=lambda c: lamplus_sequence(P, lab, c))
+    chains.sort(key=lambda c: tuple((lab.label(a, b), P.idx(b))
+                                    for a, b in zip(c, c[1:])))
     return chains
 
 

@@ -97,10 +97,6 @@ def test_skeleton_link_delete_join():
     assert edge.skeleton(1) == edge
     assert edge.facet_name_sets() == frozenset({frozenset({"a", "b"})})
 
-    deleted = tri.delete_face(("a", "b"))
-    assert not deleted.has_face(deleted.mask_of(("a", "b")))
-    assert deleted.has_face(deleted.mask_of(("a", "c")))
-
 
 def test_empty_and_void_are_distinguished():
     assert empty_complex().is_empty and not empty_complex().is_void

@@ -40,6 +40,7 @@ from conftest import partition_poset
 from group_counts import closures
 from group_oracles import (
     reference_generated_subgroup,
+    reference_is_normal,
     reference_is_solvable,
     reference_subgroups,
     reference_table,
@@ -132,6 +133,15 @@ def test_subgroups_match_reference(name):
     assert subgroups(G) == expected
 
 
+@pytest.mark.parametrize("name", ["S3", "A4", "S4", "D4", "C12", "C2^4",
+                                  "S4xC2", "A5"])
+def test_normal_subgroups_match_reference(name):
+    G = gm.alternating(4) if name == "A4" else GROUPS[name]()
+    GL = subgroup_lattice(G)
+    assert GL.normal_names == {nm for nm, H in zip(GL.names, GL.subgroup_sets)
+                               if reference_is_normal(G, H)}
+
+
 @pytest.mark.parametrize("name", ["S3", "S4", "S5", "A5", "PSL(2,7)", "C2^4",
                                   "S4xC2"])
 def test_table_matches_reference(name):
@@ -172,6 +182,10 @@ def test_subgroups_of_relabelled_groups_match_reference(name, data):
     G = gm.group_from_generators(n, data.draw(st.permutations(gens + extra)))
     assert G.table() == reference_table(G)[0]
     assert subgroups(G) == reference_subgroups(G)
+    # normality is read off each class's size in the same walk
+    for members, _, _, normal in gm._subgroup_classes(G, gm.ORDER_LIMIT):
+        H = frozenset(G.elements[i] for i in members)
+        assert normal == reference_is_normal(G, H)
 
 
 def test_s5_enumeration_closes_one_zuppo_per_normalizer_orbit():
@@ -272,9 +286,9 @@ def test_join_check_sees_a_dropped_generator(monkeypatch, name):
 
     def drop_one(G, order_limit):
         classes = enumerate_classes(G, order_limit)
-        members, elems, gens = classes[1]
+        members, elems, gens, normal = classes[1]
         assert len(members) == 2 and len(gens) == 1
-        classes[1] = (members, elems, gens[1:])
+        classes[1] = (members, elems, gens[1:], normal)
         return classes
 
     monkeypatch.setattr(gm, "_subgroup_classes", drop_one)

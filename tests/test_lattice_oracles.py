@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from latshell import build_poset, classify_modularity, interval, lattice_check, order_complex
 from latshell import groups as gm
 from latshell.errors import NotALattice
+from latshell.lattice import ModularChain, complement_refinements
 from latshell.poset import bits, induced_covers
 
+from conftest import left_modular_maximal_chains
 from lattice_oracles import (
     reference_canonical_covers,
     reference_classify_modularity,
+    reference_complement_refinements,
     reference_covers_of_restriction,
     reference_interval,
     reference_lattice_check,
@@ -157,3 +160,24 @@ def test_subgroup_lattice_covers_match_containment_loop(make):
     GL = gm.subgroup_lattice(G)
     masks = [sum(1 << G.index(p) for p in h) for h in GL.subgroup_sets]
     assert GL.lattice.poset.covers() == reference_subgroup_covers(masks, GL.names)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_complement_refinements_match_oracle(rng):
+    # refinements are defined for any chain, so every maximal chain may
+    # stand for m
+    L = lattice_check(family_poset(random_family(rng, closed=True)))
+    for c in L.poset.chains():
+        m = ModularChain(c, "left-modular")
+        assert complement_refinements(L, m) == reference_complement_refinements(L, m)
+
+
+def test_complement_refinements_of_the_suite_match_oracle(suite):
+    c2_4 = gm.parse_group_file("degree: 8\n(1 2)\n(3 4)\n(5 6)\n(7 8)\n")
+    GL = gm.subgroup_lattice(c2_4)
+    rows = [(GL.lattice, GL.chief)]
+    for _, _, L, m in suite:
+        rows += [(L, c) for c in [m, *left_modular_maximal_chains(L)]]
+    for L, m in rows:
+        assert complement_refinements(L, m) == reference_complement_refinements(L, m)
