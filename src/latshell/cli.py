@@ -140,9 +140,9 @@ def load_complex(path: str) -> cxm.SimplicialComplex:
     return cxm.SimplicialComplex.from_faces(vertices, facets)
 
 
-def load_group(path: str) -> gm.PermGroup:
+def load_group(path: str, order_limit: int) -> gm.PermGroup:
     try:
-        return gm.parse_group_file(_read_bytes(path).decode("utf-8"))
+        return gm.parse_group_file(_read_bytes(path).decode("utf-8"), order_limit)
     except LatshellError:
         raise
     except Exception as exc:
@@ -371,7 +371,8 @@ def _morse_report(args):
     P = load_poset(args.poset)
     rep.element_order = list(P.elements)
     lab = load_labeling(args.labeling, P)
-    report = mm.homology_consistency(P, lab, limit=args.limit_chains)
+    report = mm.homology_consistency(P, lab, limit=args.limit_chains,
+                                     homology_limit=args.limit_faces)
     rep.results = {
         "descending_chains": [
             {"chain": list(d.chain), "labels": _plain(d.labels),
@@ -391,7 +392,7 @@ def _morse_report(args):
 
 def _group_lattice(args):
     rep = Report("group lattice", [args.group])
-    G = load_group(args.group)
+    G = load_group(args.group, args.limit_order)
     GL = gm.subgroup_lattice(G, order_limit=args.limit_order)
     rep.element_order = list(GL.names)
     rep.results = {
@@ -407,12 +408,12 @@ def _group_lattice(args):
 
 def _group_solvable(args):
     rep = Report("group solvable", [args.group])
-    G = load_group(args.group)
+    G = load_group(args.group, args.limit_order)
     GL = gm.subgroup_lattice(G, order_limit=args.limit_order)
     if args.method == "depth":
         out = gm.solvability_by_depth(GL, homology_limit=args.limit_faces)
     else:
-        out = gm.skeleton_shellability_criterion(GL)
+        out = gm.skeleton_shellability_criterion(GL, homology_limit=args.limit_faces)
     rep.results = _plain(out)
     if not out.agree:
         rep.warnings.append("topological verdict disagrees with the derived series")
@@ -422,7 +423,7 @@ def _group_solvable(args):
 
 def _group_thevenaz(args):
     rep = Report("group thevenaz", [args.group])
-    G = load_group(args.group)
+    G = load_group(args.group, args.limit_order)
     GL = gm.subgroup_lattice(G, order_limit=args.limit_order)
     out = gm.thevenaz_check(GL, homology_limit=args.limit_faces)
     rep.results = _plain(out)

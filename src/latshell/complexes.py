@@ -659,7 +659,7 @@ def _mobius(P) -> int:
     minus the sum of mu(0, z) over 0 <= z < y, read off the down-set rows
     in topological order."""
     mu = [0] * P.n
-    for y in P._topo():
+    for y in P.topo:
         below = P.down[y] & ~(1 << y)
         mu[y] = 1 if y == P.bottom else -sum(mu[z] for z in bits(below))
     return mu[P.top]
@@ -865,7 +865,7 @@ def _poset_depth(P: Poset, best: int, limit: int) -> int:
     tail[top] = 0
     dist = [None] * P.n
     dist[P.bottom] = 0
-    for a in P._topo():
+    for a in P.topo:
         d = dist[a]
         if d is None or d + tail[a] - 2 >= best:
             continue

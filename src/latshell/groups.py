@@ -65,17 +65,35 @@ def _mul(p: Perm, q: Perm) -> Perm:
 
 
 class PermGroup:
-    """A finite permutation group with its full element set."""
+    """A finite permutation group with its full element set, closed from
+    its generators by one breadth-first walk from the identity.  The walk
+    records each new element y by (x, g), where y = x.g for an element x
+    reached before and a generator g, and ``table()`` replays it.  With
+    an ``order_limit``, the walk raises ``OrderLimit`` as soon as it holds
+    more elements than that."""
 
     __slots__ = ("degree", "generators", "elements", "order",
-                 "_index", "_table", "_inverse")
+                 "_index", "_walk", "_table", "_inverse")
 
-    def __init__(self, degree: int, generators, elements):
+    def __init__(self, degree: int, generators, order_limit: int | None = None):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
+        walk = {self.identity: None}
+        frontier = [self.identity]
+        for x in frontier:
+            for g in self.generators:
+                y = _mul(x, g)
+                if y not in walk:
+                    walk[y] = x, g
+                    frontier.append(y)
+                    if order_limit is not None and len(frontier) > order_limit:
+                        raise OrderLimit(
+                            f"group order exceeds the order limit {order_limit}; "
+                            "raise it with --limit-order")
+        self.elements = tuple(sorted(frontier))
         self.order = len(self.elements)
         self._index = {p: i for i, p in enumerate(self.elements)}
+        self._walk = walk
         self._table = None
         self._inverse = None
 
@@ -91,26 +109,19 @@ class PermGroup:
 
         Only the generators' rows are permutation products.  As
         (x.g).b = x.(g.b), the row of x.g is the row of x read along the
-        row of g, so a breadth-first walk from the identity's row reaches
-        every element's row.  An element's inverse is where its row holds
-        the identity.
+        row of g, so replaying the closure walk from the identity's row
+        gives every element's row.  An element's inverse is where its row
+        holds the identity.
         """
         if self._table is None:
             idx = self._index
-            els = self.elements
+            gen_rows = {g: [idx[_mul(g, b)] for b in self.elements]
+                        for g in set(self.generators)}
             e = idx[self.identity]
-            gen_rows = [(idx[g], [idx[_mul(g, b)] for b in els])
-                        for g in dict.fromkeys(self.generators)]
             rows = [None] * self.order
             rows[e] = list(range(self.order))
-            frontier = [e]
-            for x in frontier:
-                row_x = rows[x]
-                for g, row_g in gen_rows:
-                    y = row_x[g]
-                    if rows[y] is None:
-                        rows[y] = list(map(row_x.__getitem__, row_g))
-                        frontier.append(y)
+            for y, (x, g) in itertools.islice(self._walk.items(), 1, None):
+                rows[idx[y]] = list(map(rows[idx[x]].__getitem__, gen_rows[g]))
             self._table = rows
             self._inverse = [row.index(e) for row in rows]
         return self._table
@@ -123,27 +134,17 @@ class PermGroup:
         return f"PermGroup(degree {self.degree}, order {self.order})"
 
 
-def group_from_generators(degree: int, generators) -> PermGroup:
-    """Close a generator list under products (identity included)."""
+def group_from_generators(degree: int, generators,
+                          order_limit: int | None = None) -> PermGroup:
+    """Close a generator list under products (identity included); see
+    ``PermGroup`` for ``order_limit``."""
     gens = []
     for g in generators:
         g = tuple(g)
         if sorted(g) != list(range(degree)):
             raise NotAPermutation(f"{g!r} is not a permutation of 0..{degree - 1}")
         gens.append(g)
-    identity = tuple(range(degree))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = _mul(a, g)
-                if b not in elements:
-                    elements.add(b)
-                    new.append(b)
-        frontier = new
-    return PermGroup(degree, gens, elements)
+    return PermGroup(degree, gens, order_limit)
 
 
 # ---------------------------------------------------------------- parsing
@@ -177,8 +178,9 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(perm)
 
 
-def parse_group_file(text: str) -> PermGroup:
-    """Group file: a ``degree: n`` header, then one generator per line."""
+def parse_group_file(text: str, order_limit: int | None = None) -> PermGroup:
+    """Group file: a ``degree: n`` header, then one generator per line;
+    ``order_limit`` as in ``group_from_generators``."""
     lines = [l.strip() for l in text.splitlines() if l.strip()]
     if not lines or not lines[0].lower().startswith("degree:"):
         raise NotAPermutation("group file must start with 'degree: n'")
@@ -186,7 +188,7 @@ def parse_group_file(text: str) -> PermGroup:
     if degree < 0:
         raise NotAPermutation(f"degree {degree} is negative")
     gens = [parse_cycles(l, degree) for l in lines[1:]]
-    return group_from_generators(degree, gens)
+    return group_from_generators(degree, gens, order_limit)
 
 
 # ------------------------------------------------------ stock constructions
@@ -604,7 +606,8 @@ class ShellabilityReport:
     agree: bool
 
 
-def skeleton_shellability_criterion(GL: GroupLattice) -> ShellabilityReport:
+def skeleton_shellability_criterion(
+        GL: GroupLattice, homology_limit: int = FACE_LIMIT) -> ShellabilityReport:
     """Nonsolvable exactly when the (r-1)-skeleton of the order complex is
     pure of dimension r-1 and shellable.
 
@@ -613,7 +616,8 @@ def skeleton_shellability_criterion(GL: GroupLattice) -> ShellabilityReport:
     chief series' left-modular labeling at target r + 1, which the chain
     complexity bound always allows on a pure skeleton: every maximal chain
     has at least r + 1 covers and carries all r labels, so some label
-    repeats.  A smaller bound raises ``SelfCheckFailed``.
+    repeats.  A smaller bound raises ``SelfCheckFailed``.  The connectivity
+    test refuses a skeleton of more than ``homology_limit`` faces.
     """
     r = GL.chief.r
     P = GL.lattice.poset
@@ -627,7 +631,7 @@ def skeleton_shellability_criterion(GL: GroupLattice) -> ShellabilityReport:
             shellable = not cx.is_void
             method = "zero-dimensional"
         else:
-            shellable = betti_numbers(cx).get(0, 1) == 0
+            shellable = betti_numbers(cx, limit=homology_limit).get(0, 1) == 0
             method = "connectivity"
     elif pure:
         lab = lb.left_modular_labeling(GL.lattice, GL.chief)

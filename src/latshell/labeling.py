@@ -44,9 +44,6 @@ class EdgeLabeling:
         """Label statistics of a chain given as a tuple of names."""
         return stats_of_sequence(elements, self.sequence(elements))
 
-    def covers(self):
-        return self.labels.keys()
-
 
 @dataclass(frozen=True)
 class RootedLabeling:

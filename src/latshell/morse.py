@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .complexes import betti_numbers
+from .complexes import FACE_LIMIT, betti_numbers
 from .errors import SizeLimit
 from .lattice import Lattice, ModularChain, complement_refinements
 from .labeling import ChainStats, EdgeLabeling
@@ -250,14 +250,15 @@ def descending_equals_complements(L: Lattice, m: ModularChain,
     )
 
 
-def homology_consistency(P: Poset, lab: EdgeLabeling,
-                         limit: int = CHAIN_LIMIT) -> MorseReport:
+def homology_consistency(P: Poset, lab: EdgeLabeling, limit: int = CHAIN_LIMIT,
+                         homology_limit: int = FACE_LIMIT) -> MorseReport:
     """Reduced homology must vanish up to the connectivity bound, and the
-    total Betti rank is at most the number of weakly descending chains."""
+    total Betti rank is at most the number of weakly descending chains.
+    ``limit`` gates the maximal chains, ``homology_limit`` the faces."""
     data = weakly_descending_chains(P, lab, limit)
     bound = min((d.ell0 + d.ell1 - 3 for d in data), default=None)
     cx = order_complex(P)
-    betti = betti_numbers(cx)
+    betti = betti_numbers(cx, limit=homology_limit)
     census = {}
     for d in data:
         census[d.dimension_bound] = census.get(d.dimension_bound, 0) + 1

@@ -50,10 +50,15 @@ class Chain:
 
 
 class Poset:
-    """Immutable finite poset given by elements and cover relations."""
+    """Immutable finite poset given by elements and cover relations.
+
+    ``topo`` is Kahn's topological order of the cover rows, computed once
+    for every dynamic program over them: it lists each element once, and
+    the lower end of each cover before its upper end.
+    """
 
     __slots__ = ("elements", "index", "n", "up", "down", "cover_up", "cover_down",
-                 "bottom", "top")
+                 "bottom", "top", "topo")
 
     def __init__(self, elements, up, cover_up, bottom, top):
         self.elements = tuple(elements)
@@ -65,6 +70,7 @@ class Poset:
         self.cover_down = tuple(self._transpose(cover_up, self.n))
         self.bottom = bottom
         self.top = top
+        self.topo = tuple(_kahn(self.cover_up)[0])
 
     @staticmethod
     def _transpose(rows, n):
@@ -187,15 +193,8 @@ class Poset:
     def min_max_chain_covers(self) -> tuple[int, int]:
         """(min, max) number of covers over all maximal chains, without
         enumerating the chains."""
-        self.require_bounded()
-        lo = [0] * self.n
-        hi = [0] * self.n
-        for i in reversed(self._topo()):
-            succ = list(bits(self.cover_up[i]))
-            if succ:
-                lo[i] = 1 + min(lo[j] for j in succ)
-                hi[i] = 1 + max(hi[j] for j in succ)
-        return lo[self.bottom], hi[self.bottom]
+        lo, hi, *_ = _chain_lengths(self)
+        return lo[self.top], hi[self.top]
 
     def maximal_chain_count(self) -> int:
         """Number of maximal chains, without enumerating them: ways[i]
@@ -203,7 +202,7 @@ class Poset:
         self.require_bounded()
         ways = [0] * self.n
         ways[self.top] = 1
-        for i in reversed(self._topo()):
+        for i in reversed(self.topo):
             ways[i] += sum(map(ways.__getitem__, bits(self.cover_up[i])))
         return ways[self.bottom]
 
@@ -215,13 +214,10 @@ class Poset:
         self.require_bounded()
         above = [1] * self.n
         inner = ~(1 << self.top)
-        for i in reversed(self._topo()):
+        for i in reversed(self.topo):
             above[i] = 1 + sum(map(above.__getitem__,
                                    bits(self.up[i] & inner & ~(1 << i))))
         return above[self.bottom]
-
-    def _topo(self) -> list[int]:
-        return _kahn(self.cover_up)[0]
 
 
 def _kahn(rows) -> tuple[list[int], list[int]]:
@@ -239,6 +235,32 @@ def _kahn(rows) -> tuple[list[int], list[int]]:
             if indeg[j] == 0:
                 order.append(j)
     return order, indeg
+
+
+def _chain_lengths(P: Poset):
+    """The bottom-up walk over ``P.topo``: (lo, hi, lo_par, hi_par, bad),
+    where lo[j] and hi[j] are the fewest and most covers on a chain from
+    the bottom to j, lo_par[j] and hi_par[j] the element before j on one
+    such shortest and longest chain, and bad the first element met with
+    lo != hi (else None)."""
+    P.require_bounded()
+    lo = [None] * P.n
+    hi = [None] * P.n
+    lo_par = [None] * P.n
+    hi_par = [None] * P.n
+    lo[P.bottom] = hi[P.bottom] = 0
+    bad = None
+    for i in P.topo:
+        for j in bits(P.cover_up[i]):
+            if lo[j] is None or lo[i] + 1 < lo[j]:
+                lo[j] = lo[i] + 1
+                lo_par[j] = i
+            if hi[j] is None or hi[i] + 1 > hi[j]:
+                hi[j] = hi[i] + 1
+                hi_par[j] = i
+            if bad is None and lo[j] != hi[j]:
+                bad = j
+    return lo, hi, lo_par, hi_par, bad
 
 
 def induced_covers(up, members: int | None = None) -> list[int]:
@@ -351,23 +373,7 @@ def is_graded(P: Poset) -> GradedVerdict:
     Returns a rank function on success, or two maximal chains of different
     lengths as a witness.
     """
-    P.require_bounded()
-    lo = [None] * P.n
-    hi = [None] * P.n
-    lo_par = [None] * P.n
-    hi_par = [None] * P.n
-    lo[P.bottom] = hi[P.bottom] = 0
-    bad = None
-    for i in P._topo():
-        for j in bits(P.cover_up[i]):
-            if lo[j] is None or lo[i] + 1 < lo[j]:
-                lo[j] = lo[i] + 1
-                lo_par[j] = i
-            if hi[j] is None or hi[i] + 1 > hi[j]:
-                hi[j] = hi[i] + 1
-                hi_par[j] = i
-            if bad is None and lo[j] != hi[j]:
-                bad = j
+    lo, _, lo_par, hi_par, bad = _chain_lengths(P)
     if bad is None:
         rank = {P.elements[i]: lo[i] for i in range(P.n)}
         return GradedVerdict(True, rank, None)

@@ -50,7 +50,6 @@ from latshell.complexes import (
     VDLeaf,
     VDNode,
     _check_join,
-    _component_count,
     _maximalize,
     cert_simplex_skeleton,
     empty_complex,
@@ -158,7 +157,26 @@ def reference_boundary_rank(cx, fbd, k: int, mod2: bool = False) -> int:
     if k == 0:
         return 1  # augmentation onto the empty face
     if k == 1:
-        return len(fbd.get(0, [])) - _component_count(cx, fbd)
+        # vertices less connected components, found by a breadth-first
+        # walk over the edges
+        nbrs = {v: [] for v in fbd.get(0, [])}
+        for e in faces_k:
+            u = e & -e
+            nbrs[u].append(e ^ u)
+            nbrs[e ^ u].append(u)
+        seen = set()
+        components = 0
+        for v in nbrs:
+            if v not in seen:
+                components += 1
+                seen.add(v)
+                walk = [v]
+                for a in walk:
+                    for b in nbrs[a]:
+                        if b not in seen:
+                            seen.add(b)
+                            walk.append(b)
+        return len(nbrs) - components
     rows = {m: i for i, m in enumerate(fbd[k - 1])}
     pivots = {}
     rank = 0

@@ -22,11 +22,12 @@ from latshell.cli import (
     load_labeling,
     load_poset,
     main,
+    poset_json,
     run,
 )
 from latshell.errors import InputParseError, NotAPermutation
 
-from conftest import pi4_poset, subset_poset
+from conftest import divisor_poset, pi4_poset, subset_poset
 from test_complexes import FACET_18, FACET_40_SKELETON_2, forbid_building
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -437,6 +438,34 @@ def test_negative_group_degree_exits_2(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body == {"error": "NotAPermutation",
                     "message": "degree -1 is negative"}
+
+
+def test_order_limit_refuses_during_the_closure(tmp_path, capsys):
+    # S9 has 362 880 elements; the walk stops past the default limit 720,
+    # before it can know the order
+    grp = tmp_path / "s9.grp"
+    grp.write_text("degree: 9\n(1 2)\n(1 2 3 4 5 6 7 8 9)\n")
+    assert main(["group", "lattice", str(grp)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "OrderLimit", "message": "group order exceeds the order limit "
+                                          "720; raise it with --limit-order"}
+
+
+def test_limit_faces_gates_morse_and_connectivity(tmp_path, capsys):
+    P, _ = divisor_poset(60)
+    poset = tmp_path / "d60.json"
+    poset.write_text(json.dumps(poset_json(P)))
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"edges": [{"from": x, "to": y, "label": 1}
+                                         for x, y in P.covers()]}))
+    grp = tmp_path / "s5.grp"
+    grp.write_text("degree: 5\n(1 2)\n(1 2 3 4 5)\n")
+    for argv in (["morse", "report", "--poset", str(poset), "--labeling", str(lab)],
+                 ["group", "solvable", "--method", "skeleton", str(grp)]):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert main(["--limit-faces", "3", *argv]) == 2, argv
+        assert json.loads(capsys.readouterr().out)["error"] == "SizeLimit", argv
 
 
 def test_overlapping_cycles_exit_2(tmp_path, capsys):

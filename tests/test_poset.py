@@ -228,3 +228,8 @@ def test_random_posets_roundtrip_and_invariants(data):
     lo, hi = P.min_max_chain_covers()
     lengths = [c.length for c in chains]
     assert lo == min(lengths) and hi == max(lengths)
+    # the stored topological order, shared by every dynamic program
+    for Q in (P, P.dual(), interval(P, "bot", P.elements[P.n // 2])):
+        place = {Q.elements[i]: t for t, i in enumerate(Q.topo)}
+        assert sorted(Q.topo) == list(range(Q.n)) and all(
+            place[x] < place[y] for x, y in Q.covers()), Q
