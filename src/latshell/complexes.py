@@ -24,7 +24,9 @@ greatest single-descent chain, whose link is the join of the lower and
 upper interval complexes, and in the all-ascending base case assemble the
 complex as a join of a spine simplex with the gap complexes.  One join
 certificate routine serves both joins, reading a level at or above a
-factor's dimension as the whole factor.  Deletion chains are walked in loops, here
+factor's dimension as the whole factor.  Below the root every complex is
+a list of facet masks over the root poset's element indices, so only the
+complex returned is built.  Deletion chains are walked in loops, here
 and wherever a certificate is built or read, so the stack grows with the
 dimension and not with the number of vertices.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AllChainsAscending,
@@ -69,8 +72,7 @@ class SimplicialComplex:
         self.vindex = {v: i for i, v in enumerate(self.vertices)}
         self.facets = frozenset(facets)
         # the dimension, or None for the void complex
-        self.dim = (max(map(int.bit_count, self.facets)) - 1
-                    if self.facets else None)
+        self.dim = _dim(self.facets) if self.facets else None
 
     @classmethod
     def from_faces(cls, vertex_order, faces) -> "SimplicialComplex":
@@ -203,19 +205,11 @@ class SimplicialComplex:
         """
         if self.is_void or r < -1:
             return SimplicialComplex((), frozenset())
-        keep = set()
-        for f in self.facets:
-            if f.bit_count() <= r + 1:
-                keep.add(f)
-            else:
-                keep.update(_subsets(f, r + 1))
-        return SimplicialComplex(self.vertices, keep).compact()
+        return SimplicialComplex(self.vertices, _skeleton(self.facets, r)).compact()
 
     def compact(self) -> "SimplicialComplex":
         """Drop vertices outside the support, preserving order."""
-        support = 0
-        for f in self.facets:
-            support |= f
+        support = _support(self.facets)
         if support.bit_count() == self.n_vertices:
             return self
         kept = list(bits(support))
@@ -271,6 +265,32 @@ class OrderComplex(SimplicialComplex):
     def __init__(self, poset: Poset, vertices, facets):
         super().__init__(vertices, facets)
         self.poset = poset
+
+
+def _skeleton(facets, r: int) -> set:
+    """The facets of the r-skeleton (r >= -1) of the complex with these
+    facets, as ``SimplicialComplex.skeleton`` finds them."""
+    keep = set()
+    for f in facets:
+        if f.bit_count() <= r + 1:
+            keep.add(f)
+        else:
+            keep.update(_subsets(f, r + 1))
+    return keep
+
+
+def _support(facets) -> int:
+    """The vertices that some facet holds, as a mask."""
+    out = 0
+    for f in facets:
+        out |= f
+    return out
+
+
+def _dim(facets) -> int:
+    """The dimension of the complex with these facets, of which there is at
+    least one."""
+    return max(map(int.bit_count, facets)) - 1
 
 
 def _subsets(mask: int, k: int):
@@ -950,20 +970,59 @@ class JoinFactor:
     cert: object
 
 
+class _Factor(NamedTuple):
+    """A ``JoinFactor`` over vertex coordinates that the factors share:
+    ``order`` lists the coordinates of its vertices in its own vertex
+    order, ``vertices`` is the mask of those it has, ``facets`` are masks
+    over the same coordinates, and ``level`` and ``cert`` are as in a
+    ``JoinFactor``."""
+
+    order: tuple
+    vertices: int
+    facets: list
+    level: int
+    cert: object
+
+
 def join_skeleton_certificate(factors, t: int):
-    """Certificate for skel_t of the join of the factors.
+    """Certificate for skel_t of the join of the ``JoinFactor`` factors.
 
     A level at or above a factor's dimension takes the whole factor, and t
     is read as at most the dimension D = sum(dim + 1) - 1 of the join.
     Requires each level at least -1, each proper skeleton pure (every facet
     of the factor at least level + 1 vertices), and t + 1 <= sum(level + 1)
     over the levels so read.  Shedding vertices are pulled from the factor
-    certificates; exchanges across factors exist by purity.  The
-    deletions are walked in a loop, and the links, one dimension down, are
-    certified from the last deletion back up.  The factors are checked when
-    they enter, then the target, then the overlap of their vertices; a
-    deletion changes one factor and only removes vertices, so only that
-    factor and the target are checked again.
+    certificates; exchanges across factors exist by purity.  The factors
+    are checked when they enter, then the target, then the overlap of their
+    vertices.
+
+    Each vertex name gets one coordinate, in the order in which the factors
+    list the names, and ``_join_certificate`` runs on the factors' facets
+    over those coordinates.
+    """
+    index, masked = {}, []
+    for f in factors:
+        order = tuple(index.setdefault(v, len(index)) for v in f.complex.vertices)
+        masked.append(_Factor(order, _support(1 << i for i in order),
+                              [sum(1 << order[i] for i in bits(g))
+                               for g in f.complex.facets], f.level, f.cert))
+    return _join_certificate(masked, t, list(index), index)
+
+
+def _join_certificate(factors, t: int, names, index):
+    """``join_skeleton_certificate`` of the ``_Factor`` factors, whose
+    coordinate i is the vertex ``names[i]``; ``index`` maps a name to its
+    coordinate.
+
+    The deletions are walked in a loop, and the links, one dimension down,
+    are certified from the last deletion back up.  A deletion changes one
+    factor and only removes vertices, so only that factor and the target
+    are checked again.  The link of the vertex with bit b is the F - b of
+    the facets F through b, and the deletion is the facets that avoid b
+    with the exposed F - b (``SimplicialComplex.delete_vertex``); after
+    either, a factor's vertices are those some facet holds, as after
+    ``compact``.  So the certificate and the first error raised are those
+    of the same steps on complexes.
 
     The leaf test needs no join: skel_t of the join J has at most one facet
     iff t < 0, or every factor has one facet and t = D.  For t < 0 the
@@ -973,7 +1032,7 @@ def join_skeleton_certificate(factors, t: int):
     factor has one, and its t-skeleton is F alone iff t + 1 = |F| = D + 1.
     """
     factors = list(factors)
-    room = [_factor_room(f) for f in factors]
+    room = [_room(f) for f in factors]
     levels = []  # (shed vertex, link factors, t) per deletion
     while True:
         top = sum(d for d, _ in room) - 1
@@ -981,56 +1040,80 @@ def join_skeleton_certificate(factors, t: int):
         if t + 1 > sum(r for _, r in room):
             raise InvalidCertificate(f"target {t} exceeds available levels")
         if not levels:
-            seen = set()
+            seen = 0
             for f in factors:
-                overlap = seen.intersection(f.complex.vertices)
-                if overlap:
-                    raise VertexClash(f"shared vertices {sorted(overlap)!r}")
-                seen.update(f.complex.vertices)
+                if seen & f.vertices:
+                    overlap = sorted(names[i] for i in bits(seen & f.vertices))
+                    raise VertexClash(f"shared vertices {overlap!r}")
+                seen |= f.vertices
 
-        if t < 0 or (t == top and all(len(f.complex.facets) == 1 for f in factors)):
+        if t < 0 or (t == top and all(len(f.facets) == 1 for f in factors)):
             cert = VDLeaf()
             break
 
         # shed a factor certificate's vertex, else a level -1 factor's last vertex
         sheds = [(j, f.cert.vertex, f.level - 1, f.cert.deletion, f.cert.link)
                  for j, f in enumerate(factors) if isinstance(f.cert, VDNode)]
-        sheds += [(j, f.complex.vertices[-1], -1, VDLeaf(), VDLeaf())
-                  for j, f in enumerate(factors)
-                  if f.level == -1 and f.complex.n_vertices]
+        sheds += [(j, names[_listed(f)[-1]], -1, VDLeaf(), VDLeaf())
+                  for j, f in enumerate(factors) if f.level == -1 and f.vertices]
         if not sheds:
             union = []
             for f in factors:
-                if len(f.complex.facets) > 1:
+                if len(f.facets) > 1:
                     raise InvalidCertificate("leaf certificate on a non-simplex factor")
-                union.extend(f.complex.vertices)
+                union += [names[i] for i in _listed(f)]
             cert = cert_simplex_skeleton(tuple(union), t)
             break
         j, v, link_level, deletion, link = sheds[0]
         f = factors[j]
+        i = index.get(v)
+        if i is None or not f.vertices >> i & 1:
+            raise UnknownVertex(repr(v))
+        bit = 1 << i
+        through = [g & ~bit for g in f.facets if g & bit]
+        if not through:
+            raise NotAFace(f"{ {v}!r} is not a face")
+        avoiding = [g for g in f.facets if not g & bit]
+        rest = avoiding + [g & ~bit for g in _exposed(f.facets, avoiding, bit)]
         link_factors = list(factors)
-        link_factors[j] = JoinFactor(f.complex.link_of((v,)), link_level, link)
+        link_factors[j] = _Factor(f.order, _support(through), through, link_level, link)
         levels.append((v, link_factors, t))
-        factors[j] = JoinFactor(f.complex.delete_vertex(v), f.level, deletion)
-        room[j] = _factor_room(factors[j])
+        factors[j] = _Factor(f.order, _support(rest), rest, f.level, deletion)
+        room[j] = _room(factors[j])
     for v, link_factors, t in reversed(levels):
-        cert = VDNode(v, cert, join_skeleton_certificate(link_factors, t - 1))
+        cert = VDNode(v, cert, _join_certificate(link_factors, t - 1, names, index))
     return cert
 
 
-def _factor_room(f: JoinFactor) -> tuple:
+def _listed(f: _Factor) -> list:
+    """The coordinates of a factor's vertices, in its vertex order."""
+    return [i for i in f.order if f.vertices >> i & 1]
+
+
+def _room(f: _Factor) -> tuple:
     """(dim + 1, level + 1) of a join factor, its level read as at most its
-    dimension, once ``join_skeleton_certificate``'s checks of it pass."""
-    if f.complex.is_void:
+    dimension, once ``_join_certificate``'s checks of it pass."""
+    if not f.facets:
         raise InvalidCertificate("void factor in a join")
-    d = f.complex.dim
+    d = _dim(f.facets)
     if f.level < -1:
         raise InvalidCertificate(f"level {f.level} out of range for dim {d}")
     level = min(f.level, d)
-    if 0 <= level < d:
-        if min(x.bit_count() for x in f.complex.facets) < level + 1:
-            raise InvalidCertificate("factor skeleton is not pure")
+    if 0 <= level < d and min(map(int.bit_count, f.facets)) < level + 1:
+        raise InvalidCertificate("factor skeleton is not pure")
     return d + 1, level + 1
+
+
+def _check_join(factors, t: int, facets, message: str):
+    """Self-check: skel_t of the join of the ``_Factor`` factors, whose
+    vertex sets are disjoint, is skel_t of the complex with ``facets``,
+    else ``InvalidCertificate(message)``.  A facet of such a join is the
+    OR of one facet of each factor."""
+    joined = [0]
+    for f in factors:
+        joined = [g | h for g in joined for h in f.facets]
+    if _skeleton(joined, t) != _skeleton(facets, t):
+        raise InvalidCertificate(message)
 
 
 # --------------------------------------------------------------------------
@@ -1104,29 +1187,38 @@ RECHECK_LIMIT = 12
 class _VDCache:
     """What one constructive call learns about the sub-posets of its root,
     the bounded poset ``P``, so that each fact is computed once:
-    certificates by (mask, t), chain lists, spines and order complexes by
-    mask, and chain statistics by chain.  A sub-poset is ``(lo, hi,
-    mask)``, an index mask over ``P`` with its bottom and top, whose covers
-    are P's among its members (see ``_vd_level``); ``root`` is ``P``
-    itself."""
+    certificates by (mask, t), chain lists, spines and the facets of order
+    complexes by mask, and chain statistics by chain.  A sub-poset is
+    ``(lo, hi, mask)``, an index mask over ``P`` with its bottom and top,
+    whose covers are P's among its members (see ``_vd_level``); ``root``
+    is ``P`` itself."""
 
-    __slots__ = ("P", "root", "lab", "certs", "spines", "chain_lists",
-                 "chain_stats", "complexes")
+    __slots__ = ("P", "root", "lab", "bit", "certs", "spines", "chain_lists",
+                 "chain_stats", "facet_lists")
 
     def __init__(self, P: Poset, lab):
         P.require_bounded()
         self.P = P
         self.root = (P.bottom, P.top, (1 << P.n) - 1)
         self.lab = lab
+        self.bit = {e: 1 << i for i, e in enumerate(P.elements)}
         self.certs = {}
         self.spines = {}
         self.chain_lists = {}
         self.chain_stats = {}
-        self.complexes = {}
+        self.facet_lists = {}
 
     def interval(self, lo: int, hi: int, mask: int) -> tuple:
         """The interval [lo, hi] of the sub-poset on ``mask``."""
         return lo, hi, self.P.up[lo] & self.P.down[hi] & mask
+
+    def _parent(self, table: dict, sub, x):
+        """The entry of ``table`` for ``sub`` with the element of index x
+        put back, when x lies strictly between its bottom and top, outside
+        its mask; else None."""
+        lo, hi, mask = sub
+        if x is not None and (self.P.up[lo] & self.P.down[hi]) >> x & 1:
+            return table.get(mask | 1 << x)
 
     def chains(self, sub, x=None) -> list:
         """The maximal chains of ``sub`` as tuples of names, in DFS order.
@@ -1136,21 +1228,47 @@ class _VDCache:
         and hi, outside the mask, and the chains of the mask with x put back
         are known, the chains of ``sub`` are those that avoid x, in the
         same order; otherwise the walk is taken."""
-        lo, hi, mask = sub
-        out = self.chain_lists.get(mask)
+        out = self.chain_lists.get(sub[2])
         if out is None:
-            P = self.P
-            parent = None
-            if x is not None and (P.up[lo] & P.down[hi]) >> x & 1:
-                parent = self.chain_lists.get(mask | 1 << x)
+            parent = self._parent(self.chain_lists, sub, x)
             if parent is not None:
-                name = P.elements[x]
+                name = self.P.elements[x]
                 out = [c for c in parent if name not in c]
             else:
-                name = P.elements.__getitem__
-                out = [tuple(map(name, c)) for c in P.maximal_chains_idx(*sub)]
-            self.chain_lists[mask] = out
+                name = self.P.elements.__getitem__
+                out = [tuple(map(name, c)) for c in self.P.maximal_chains_idx(*sub)]
+            self.chain_lists[sub[2]] = out
         return out
+
+    def facets(self, sub, x=None) -> list:
+        """The facets of the order complex of ``sub`` as masks over P's
+        indices, one per maximal chain in ``chains`` order: the OR of the
+        chain's interior bits.  With ``x`` as in ``chains``, a chain that
+        avoids x is a facet that avoids x's bit, so the facets are filtered
+        from the parent's in the same way.  The chains are read first, so
+        that the cache holds them beside the facets."""
+        out = self.facet_lists.get(sub[2])
+        if out is None:
+            chains = self.chains(sub, x)
+            parent = self._parent(self.facet_lists, sub, x)
+            if parent is not None:
+                out = [f for f in parent if not f >> x & 1]
+            else:
+                out = [sum(map(self.bit.__getitem__, c[1:-1])) for c in chains]
+            self.facet_lists[sub[2]] = out
+        return out
+
+    def factor(self, sub, level: int, cert) -> _Factor:
+        """The join factor of the order complex of ``sub`` at ``level``
+        with ``cert``, its vertices the proper part in P's index order."""
+        proper = sub[2] & ~(1 << sub[0] | 1 << sub[1])
+        return _Factor(tuple(bits(proper)), proper, self.facets(sub), level, cert)
+
+    def root_complex(self) -> SimplicialComplex:
+        """The order complex of ``P``, built from its chains as
+        ``order_complex`` builds it."""
+        lo, hi, mask = self.root
+        return chain_complex(self.P, self.chains(self.root), mask & ~(1 << lo | 1 << hi))
 
     def stats(self, chain: tuple):
         out = self.chain_stats.get(chain)
@@ -1165,16 +1283,6 @@ class _VDCache:
         if out is None:
             out = self.spines[sub[2]] = lb._interval_spine(
                 {c: self.stats(c).labels for c in self.chains(sub, x)})
-        return out
-
-    def complex(self, sub, x=None) -> SimplicialComplex:
-        """The order complex of ``sub``, from its chains; ``x`` as in
-        ``chains``."""
-        lo, hi, mask = sub
-        out = self.complexes.get(mask)
-        if out is None:
-            out = self.complexes[mask] = chain_complex(
-                self.P, self.chains(sub, x), mask & ~(1 << lo | 1 << hi))
         return out
 
     def min_complexity(self, sub) -> int:
@@ -1194,8 +1302,8 @@ def constructive_vd_skeleton(P: Poset, lab, target_r: int):
     bound = cache.min_complexity(cache.root)
     if target_r > bound:
         raise TargetTooLarge(f"target {target_r} exceeds the bound {bound}")
-    full = cache.complex(cache.root)
-    cert = _vd_level(cache.root, full, target_r - 2, cache)
+    cert = _vd_level(cache.root, cache.facets(cache.root), target_r - 2, cache)
+    full = cache.root_complex()
     return full.skeleton(min(target_r - 2, full.dim)), cert
 
 
@@ -1208,13 +1316,14 @@ def constructive_vd_full(P: Poset, lab):
         for k in range(len(seq) - 2):
             if seq[k] == seq[k + 1] == seq[k + 2]:
                 raise RepeatRunTooLong(names, seq[k])
-    cx = cache.complex(cache.root)
-    return cx, _vd_level(cache.root, cx, cx.dim, cache)
+    facets = cache.facets(cache.root)
+    return cache.root_complex(), _vd_level(cache.root, facets, _dim(facets), cache)
 
 
-def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
-    """A certificate for skel_t of ``full``, the order complex of the
-    sub-poset ``sub``, with t read as at most its dimension.
+def _vd_level(sub, facets: list, t: int, cache: _VDCache, passed: bool = False):
+    """A certificate for skel_t of the order complex of the sub-poset
+    ``sub``, whose facets are ``facets`` (``_VDCache.facets``), with t read
+    as at most its dimension; ``passed`` as in ``_shed_level``.
 
     The deletion chain is walked in a loop.  Each level
     (``_shed_level``) sheds the descent element x of the
@@ -1227,11 +1336,27 @@ def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
     the first error raised are the same.  Only the links recurse, one
     dimension down, so the stack grows with the dimension, not with the
     number of elements shed.  Each deletion's certificate is stored by
-    (mask, t); ``_split_factors`` stores an interval's.  No skeleton is
-    built on the way down: a level's link join is checked against the
-    (t - 1)-skeleton of the link of x in ``full``, which is the link of x
-    in skel_t, as both hold the faces F - x of dimension at most t - 1
-    with F through x.
+    (mask, t); ``_split_factors`` stores an interval's.
+
+    No complex is built.  Every complex is a list of facet masks over the
+    root's element indices, a facet being the OR of the interior bits of a
+    maximal chain.  The chains of P - x are those of P that avoid x, so its
+    facets are P's facets that avoid x, in the same order.  The link of x
+    is the F - x of the facets F through x, and no skeleton is built on the
+    way down: a level's link join is checked against the (t - 1)-skeleton
+    of the link of x in the whole complex, which is the link of x in
+    skel_t, as both hold the faces F - x of dimension at most t - 1 with F
+    through x.  The factors of each join the loop checks have disjoint
+    vertex sets.  They are the open intervals (c_i, c_i+1) between
+    consecutive elements of one chain c of P, 0 < x < 1 for the link and
+    the spine for the base case, whose interior is a factor too.  An
+    element of (c_i, c_i+1) lies above c_i and every element of c before
+    it, and below c_i+1 and every element of c after it, so it is neither
+    on c nor in another of the intervals.  So a facet of their join is
+    the OR of one facet of each, its t-skeleton is the set ``_skeleton``
+    finds on those ORs, and ``_check_join`` compares two sets of masks;
+    and no ``VertexClash`` can arise, in the check or in the join
+    certificate.
 
     That is exact.  Every poset met is an interval or a deletion of one met
     before, starting from the root, and is carried as ``(lo, hi, mask)``:
@@ -1247,7 +1372,7 @@ def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
     before x is shed.  So the mask fixes the poset: its chains in DFS order
     are the root's walk kept inside the mask
     (``Poset.maximal_chains_idx(lo, hi, within)``), and with them its
-    spine, its order complex, and with t its certificate, whichever branch
+    spine, its facets, and with t its certificate, whichever branch
     reaches it.  A chain's names fix its statistics.  A failure ends the
     call, so only results are stored.  The walk inside P - x is the walk
     inside P that avoids x, so a deletion's chains are read off its
@@ -1255,100 +1380,99 @@ def _vd_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
     [a, b] of it with a < x < b in the recheck, that interval being [a, b]
     of P less x.
     """
-    levels = []  # (sub, full, t, x) of each level that sheds x
+    levels = []  # (sub, facets, t, x, passed) of each level that sheds x
     while True:
-        t, x, cert = _shed_level(sub, full, t, cache)
+        t, x, cert = _shed_level(sub, facets, t, cache, passed)
         if x is None:
             break
-        levels.append((sub, full, t, x))
-        xi = cache.P.index[x]
-        sub = sub[:2] + (sub[2] & ~(1 << xi),)
+        levels.append((sub, facets, t, x, passed))
+        passed = sub[2].bit_count() <= RECHECK_LIMIT
+        sub = sub[:2] + (sub[2] & ~(1 << x),)
         cert = cache.certs.get((sub[2], t))
         if cert is not None:
             break
-        full = cache.complex(sub, xi)
-    for sub, full, t, x in reversed(levels):
-        xi = cache.P.index[x]
-        cache.certs[(sub[2] & ~(1 << xi), t)] = cert
-        link_factors = _split_factors(sub, xi, t, cache)
-        _check_join(link_factors, t - 1, full.link_of((x,)).skeleton(t - 1),
+        facets = cache.facets(sub, x)
+    P = cache.P
+    for sub, facets, t, x, passed in reversed(levels):
+        cache.certs[(sub[2] & ~(1 << x), t)] = cert
+        link_factors = _split_factors(sub, x, t, cache, passed)
+        _check_join(link_factors, t - 1, [f & ~(1 << x) for f in facets if f >> x & 1],
                     "link join does not match the complex link")
-        cert = VDNode(x, cert, join_skeleton_certificate(link_factors, t - 1))
+        cert = VDNode(P.elements[x], cert,
+                      _join_certificate(link_factors, t - 1, P.elements, P.index))
     return cert
 
 
-def _shed_level(sub, full: SimplicialComplex, t: int, cache: _VDCache):
+def _shed_level(sub, facets: list, t: int, cache: _VDCache, passed: bool):
     """One level of ``_vd_level``: (t read as at most the dimension of
-    ``full``, x, None) when the descent element x is to be shed, else (t,
-    None, certificate) for a leaf, or, with every chain weakly ascending,
-    for the join of ``_base_case_factors``.  When ``sub`` has at most
-    ``RECHECK_LIMIT`` elements, the deletion of x is first verified again
-    with the interval spines of the call.
+    the complex with ``facets``, the index of x, None) when the descent
+    element x is to be shed, else (t, None, certificate) for a leaf, or,
+    with every chain weakly ascending, for the join of
+    ``_base_case_factors``.  The leaf test reads the facets: skel_t has at
+    most one facet iff t < 0, or the complex is one simplex and t its
+    dimension, as a larger facet has at least two (t + 1)-subsets.
 
-    Only the base case builds skel_t of ``full``.  The leaf test reads
-    ``full``: skel_t has at most one facet iff t < 0, or ``full`` is one
-    simplex and t its dimension, as a larger facet has at least two
-    (t + 1)-subsets."""
-    t = min(t, full.dim)
-    if t < 0 or (len(full.facets) == 1 and t == full.dim):
+    The recheck.  When ``sub`` has at most ``RECHECK_LIMIT`` elements, the
+    deletion P - x is verified again: no interval of it may give a
+    Violation, its spines read through the cache.  That is
+    ``labeling.verify_quasi_el``'s verdict on P - x.  ``passed`` says that
+    every interval of P is known to give none, and then only the intervals
+    [a, b] with a < x < b are read.  Any other interval [a, b] of P - x
+    has a, b != x and x not between them, so it has the members of [a, b]
+    in P, and the same covers, the root's among them; so it has the same
+    chains and spine, and gives no Violation either.  The root has not
+    passed.  A deletion left by a recheck that passed has, and so has every
+    interval of a poset that has, as its intervals are the poset's."""
+    dim = _dim(facets)
+    t = min(t, dim)
+    if t < 0 or (len(facets) == 1 and t == dim):
         return t, None, VDLeaf()
+    P = cache.P
     try:
-        x = _descent_pick(sub, cache).element
+        x = P.index[_descent_pick(sub, cache).element]
     except AllChainsAscending:
         factors = _base_case_factors(sub, t, cache)
-        cert = join_skeleton_certificate(factors, t)
-        _check_join(factors, t, full.skeleton(t),
-                    "base case join does not match the skeleton")
+        cert = _join_certificate(factors, t, P.elements, P.index)
+        _check_join(factors, t, facets, "base case join does not match the skeleton")
         return t, None, cert
 
-    mask, xi = sub[2], cache.P.index[x]
-    rest = mask & ~(1 << xi)
-    if mask.bit_count() <= RECHECK_LIMIT and not lb._spine_verdict(
-            cache.P, rest,
-            lambda a, b: cache.spine(cache.interval(a, b, rest), xi)).ok:
-        raise InvalidCertificate(
-            f"restriction away from {x!r} lost the labeling axioms")
+    if sub[2].bit_count() <= RECHECK_LIMIT:
+        rest = sub[2] & ~(1 << x)
+        if any(isinstance(cache.spine(cache.interval(a, b, rest), x), lb.Violation)
+               for a, b in lb._intervals(P, rest)
+               if not passed or (P.up[a] & P.down[b]) >> x & 1):
+            raise InvalidCertificate(
+                f"restriction away from {P.elements[x]!r} lost the labeling axioms")
     return t, x, None
 
 
-def _check_join(factors, t: int, expected: SimplicialComplex, message: str):
-    """Self-check: skel_t of the join of the factors' complexes is
-    ``expected``, else ``InvalidCertificate(message)``."""
-    joined = factors[0].complex
-    for f in factors[1:]:
-        joined = joined.join(f.complex)
-    if joined.skeleton(t) != expected:
-        raise InvalidCertificate(message)
-
-
 def _base_case_factors(sub, t: int, cache: _VDCache):
-    """Factors for the all-ascending case: the spine simplex joined with a
-    point layer per repeated-label gap."""
+    """Factors for the all-ascending case: the spine simplex, its vertices
+    in chain order, joined with a point layer per repeated-label gap, each
+    certified as a simplex skeleton at its level (a leaf at level -1)."""
     spine = cache.spine(sub)
     if not isinstance(spine, lb.AscentSpine):
         raise InvalidCertificate(f"no spine in the base case: {spine}")
-    interior = spine.elements[1:-1]
-    gap_complexes = []
-    for u, v in zip(spine.elements, spine.elements[1:]):
-        gap = cache.interval(cache.P.index[u], cache.P.index[v], sub[2])
-        if gap[2].bit_count() > 2:
-            gap_complexes.append(cache.complex(gap))
-    s = len(gap_complexes)
-    r0 = max(-1, t - s)
-    simplex = simplex_complex(interior) if interior else empty_complex()
-    factors = [JoinFactor(simplex, r0, cert_simplex_skeleton(interior, r0))]
-    used = t - r0
-    for k, g in enumerate(gap_complexes):
-        if k < used:
-            factors.append(JoinFactor(g, 0, cert_simplex_skeleton(g.vertices, 0)))
-        else:
-            factors.append(JoinFactor(g, -1, VDLeaf()))
+    P = cache.P
+    chain = [P.index[e] for e in spine.elements]
+    gaps = [g for g in (cache.interval(u, v, sub[2]) for u, v in zip(chain, chain[1:]))
+            if g[2].bit_count() > 2]
+    r0 = max(-1, t - len(gaps))
+    order = tuple(chain[1:-1])
+    simplex = _support(1 << i for i in order)
+    factors = [_Factor(order, simplex, [simplex], r0,
+                       cert_simplex_skeleton(spine.elements[1:-1], r0))]
+    for k, gap in enumerate(gaps):
+        level = 0 if k < t - r0 else -1
+        points = [P.elements[i] for i in bits(gap[2] & ~(1 << gap[0] | 1 << gap[1]))]
+        factors.append(cache.factor(gap, level, cert_simplex_skeleton(points, level)))
     return factors
 
 
-def _split_factors(sub, xi: int, t: int, cache: _VDCache):
+def _split_factors(sub, xi: int, t: int, cache: _VDCache, passed: bool):
     """Join factors for the link of the shed element xi: the lower interval
     at its own full complexity, the upper interval at what remains of t.
+    Each interval of ``sub`` has passed when ``sub`` has (``_shed_level``).
 
     An interval taken below its dimension must not exceed its own chain
     complexity bound.  One taken whole needs no bound: the order complex
@@ -1365,15 +1489,15 @@ def _split_factors(sub, xi: int, t: int, cache: _VDCache):
 
     factors = []
     for part, level in ((lower, i + j - 2), (upper, t - i - j)):
-        cxf = cache.complex(part)
-        if level >= 0:
-            if level < cxf.dim and level + 2 > cache.min_complexity(part):
-                raise InvalidCertificate("interval target exceeds its bound")
-            cert = cache.certs.get((part[2], level))
-            if cert is None:
-                cert = cache.certs[(part[2], level)] = _vd_level(
-                    part, cxf, level, cache)
-            factors.append(JoinFactor(cxf, level, cert))
-        else:
-            factors.append(JoinFactor(cxf, -1, VDLeaf()))
+        if level < 0:
+            factors.append(cache.factor(part, -1, VDLeaf()))
+            continue
+        facets = cache.facets(part)
+        if level < _dim(facets) and level + 2 > cache.min_complexity(part):
+            raise InvalidCertificate("interval target exceeds its bound")
+        cert = cache.certs.get((part[2], level))
+        if cert is None:
+            cert = cache.certs[(part[2], level)] = _vd_level(
+                part, facets, level, cache, passed)
+        factors.append(cache.factor(part, level, cert))
     return factors

@@ -53,14 +53,15 @@ class Poset:
     """Immutable finite poset given by elements and cover relations.
 
     ``topo`` is Kahn's topological order of the cover rows, computed once
-    for every dynamic program over them: it lists each element once, and
-    the lower end of each cover before its upper end.
+    for every dynamic program over them (or handed in by ``build_poset``,
+    which has walked the same rows): it lists each element once, and the
+    lower end of each cover before its upper end.
     """
 
     __slots__ = ("elements", "index", "n", "up", "down", "cover_up", "cover_down",
                  "bottom", "top", "topo")
 
-    def __init__(self, elements, up, cover_up, bottom, top):
+    def __init__(self, elements, up, cover_up, bottom, top, topo=None):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.n = len(self.elements)
@@ -70,7 +71,7 @@ class Poset:
         self.cover_down = tuple(self._transpose(cover_up, self.n))
         self.bottom = bottom
         self.top = top
-        self.topo = tuple(_kahn(self.cover_up)[0])
+        self.topo = tuple(_kahn(self.cover_up)[0] if topo is None else topo)
 
     @staticmethod
     def _transpose(rows, n):
@@ -287,16 +288,17 @@ def induced_covers(up, members: int | None = None) -> list[int]:
     return rows
 
 
-def from_up(elements, up) -> Poset:
+def from_up(elements, up, topo=None) -> Poset:
     """The poset on ``elements`` with up-set rows ``up`` (``up[i]`` includes
     i): cover rows by ``induced_covers``, the bottom (below everything) and
-    the top (in every up-set), each None when there is none."""
+    the top (in every up-set), each None when there is none; ``topo`` as
+    in ``Poset``."""
     full = (1 << len(up)) - 1
     above_all = functools.reduce(operator.and_, up, full)
     # antisymmetry leaves at most one of each
     bottom = next((i for i, row in enumerate(up) if row == full), None)
     top = above_all.bit_length() - 1 if above_all else None
-    return Poset(elements, up, induced_covers(up), bottom, top)
+    return Poset(elements, up, induced_covers(up), bottom, top, topo)
 
 
 def build_poset(elements, covers) -> Poset:
@@ -342,7 +344,9 @@ def build_poset(elements, covers) -> Poset:
             mask |= up[j]
         up[i] = mask
 
-    P = from_up(elements, up)
+    # Without a RedundantCover the input rows are the cover rows, so the
+    # poset takes their Kahn order as it stands.
+    P = from_up(elements, up, order)
     for x, y in seen_pairs:
         if not (P.cover_up[index[x]] >> index[y]) & 1:
             raise RedundantCover(x, y)

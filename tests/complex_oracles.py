@@ -35,6 +35,13 @@ each sub-poset as a ``Poset`` and rechecks a deletion with
 so already.  Its deletions go through ``lattice_oracles``' own
 ``reference_delete_element``, so it shares no sub-poset code with the
 recursion it checks.
+
+``reference_join_skeleton_certificate`` and ``reference_check_join`` are
+the join certificate and its self-check from before they moved to facet
+masks: each factor is a ``SimplicialComplex``, and a shed vertex's link and
+deletion are built and compacted by ``link_of`` and ``delete_vertex``.
+The reference recursion uses them, so it shares no join code with the
+library either.
 """
 
 import itertools
@@ -49,11 +56,9 @@ from latshell.complexes import (
     SimplicialComplex,
     VDLeaf,
     VDNode,
-    _check_join,
     _maximalize,
     cert_simplex_skeleton,
     empty_complex,
-    join_skeleton_certificate,
     shedding_failure_witness,
     simplex_complex,
 )
@@ -66,6 +71,7 @@ from latshell.errors import (
     SizeLimit,
     TargetTooLarge,
     UnknownVertex,
+    VertexClash,
     VoidComplex,
 )
 from latshell.poset import Chain, Poset, bits, interval, order_complex
@@ -347,8 +353,9 @@ def reference_vd_rec(P: Poset, full: SimplicialComplex, lab, t: int):
         x = reference_descent_pick(P, lab).element
     except AllChainsAscending:
         factors = reference_base_case_factors(P, lab, t)
-        cert = join_skeleton_certificate(factors, t)
-        _check_join(factors, t, cx, "base case join does not match the skeleton")
+        cert = reference_join_skeleton_certificate(factors, t)
+        reference_check_join(factors, t, cx,
+                             "base case join does not match the skeleton")
         return cx, cert
 
     rest = reference_delete_element(P, x)
@@ -357,9 +364,10 @@ def reference_vd_rec(P: Poset, full: SimplicialComplex, lab, t: int):
             f"restriction away from {x!r} lost the labeling axioms")
     _, deletion = reference_vd_rec(rest, order_complex(rest), lab, t)
     link_factors = reference_split_factors(P, lab, x, t)
-    _check_join(link_factors, t - 1, cx.link_of((x,)),
-                "link join does not match the complex link")
-    return cx, VDNode(x, deletion, join_skeleton_certificate(link_factors, t - 1))
+    reference_check_join(link_factors, t - 1, cx.link_of((x,)),
+                         "link join does not match the complex link")
+    return cx, VDNode(x, deletion,
+                      reference_join_skeleton_certificate(link_factors, t - 1))
 
 
 def reference_base_case_factors(P: Poset, lab, t: int):
@@ -405,3 +413,77 @@ def reference_split_factors(P: Poset, lab, x: str, t: int):
         else:
             factors.append(JoinFactor(cxf, -1, VDLeaf()))
     return factors
+
+
+def reference_join_skeleton_certificate(factors, t: int):
+    """Certificate for skel_t of the join of the ``JoinFactor`` factors, with
+    the refusals of ``join_skeleton_certificate``, built on their complexes."""
+    factors = list(factors)
+    room = [_reference_factor_room(f) for f in factors]
+    levels = []  # (shed vertex, link factors, t) per deletion
+    while True:
+        top = sum(d for d, _ in room) - 1
+        t = min(t, top)
+        if t + 1 > sum(r for _, r in room):
+            raise InvalidCertificate(f"target {t} exceeds available levels")
+        if not levels:
+            seen = set()
+            for f in factors:
+                overlap = seen.intersection(f.complex.vertices)
+                if overlap:
+                    raise VertexClash(f"shared vertices {sorted(overlap)!r}")
+                seen.update(f.complex.vertices)
+
+        if t < 0 or (t == top and all(len(f.complex.facets) == 1 for f in factors)):
+            cert = VDLeaf()
+            break
+
+        # shed a factor certificate's vertex, else a level -1 factor's last vertex
+        sheds = [(j, f.cert.vertex, f.level - 1, f.cert.deletion, f.cert.link)
+                 for j, f in enumerate(factors) if isinstance(f.cert, VDNode)]
+        sheds += [(j, f.complex.vertices[-1], -1, VDLeaf(), VDLeaf())
+                  for j, f in enumerate(factors)
+                  if f.level == -1 and f.complex.n_vertices]
+        if not sheds:
+            union = []
+            for f in factors:
+                if len(f.complex.facets) > 1:
+                    raise InvalidCertificate("leaf certificate on a non-simplex factor")
+                union.extend(f.complex.vertices)
+            cert = cert_simplex_skeleton(tuple(union), t)
+            break
+        j, v, link_level, deletion, link = sheds[0]
+        f = factors[j]
+        link_factors = list(factors)
+        link_factors[j] = JoinFactor(f.complex.link_of((v,)), link_level, link)
+        levels.append((v, link_factors, t))
+        factors[j] = JoinFactor(f.complex.delete_vertex(v), f.level, deletion)
+        room[j] = _reference_factor_room(factors[j])
+    for v, link_factors, t in reversed(levels):
+        cert = VDNode(v, cert, reference_join_skeleton_certificate(link_factors, t - 1))
+    return cert
+
+
+def _reference_factor_room(f: JoinFactor) -> tuple:
+    """(dim + 1, level + 1) of a join factor, its level read as at most its
+    dimension, once its checks pass."""
+    if f.complex.is_void:
+        raise InvalidCertificate("void factor in a join")
+    d = f.complex.dim
+    if f.level < -1:
+        raise InvalidCertificate(f"level {f.level} out of range for dim {d}")
+    level = min(f.level, d)
+    if 0 <= level < d:
+        if min(x.bit_count() for x in f.complex.facets) < level + 1:
+            raise InvalidCertificate("factor skeleton is not pure")
+    return d + 1, level + 1
+
+
+def reference_check_join(factors, t: int, expected: SimplicialComplex, message: str):
+    """Self-check: skel_t of the join of the factors' complexes is
+    ``expected``, else ``InvalidCertificate(message)``."""
+    joined = factors[0].complex
+    for f in factors[1:]:
+        joined = joined.join(f.complex)
+    if joined.skeleton(t) != expected:
+        raise InvalidCertificate(message)

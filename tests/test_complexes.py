@@ -31,6 +31,7 @@ from latshell import complexes as cxm
 from latshell import groups as gm
 from latshell.complexes import (
     JoinFactor,
+    _maximalize,
     cert_simplex_skeleton,
     empty_complex,
     join_skeleton_certificate,
@@ -41,6 +42,7 @@ from latshell.complexes import (
 from latshell.errors import (
     AllChainsAscending,
     InvalidCertificate,
+    LatshellError,
     NotAFace,
     NotFacetPermutation,
     RepeatRunTooLong,
@@ -53,10 +55,13 @@ from latshell.errors import (
 )
 from latshell.labeling import EdgeLabeling
 
+import vd_counts
 from complex_oracles import (
     reference_betti_numbers,
+    reference_constructive_vd_skeleton,
     reference_depth,
     reference_is_cohen_macaulay,
+    reference_join_skeleton_certificate,
     reference_shedding_failure_witness,
     reference_verify_shelling,
 )
@@ -267,6 +272,139 @@ def test_join_skeleton_certificate_refusals():
     with pytest.raises(VertexClash, match=r"shared vertices \['x'\]"):
         join_skeleton_certificate(
             [_point_factor("x", "y"), _point_factor("x", "z")], 1)
+
+
+def _join_outcome(fn, factors, t):
+    """The certificate's ``repr``, or the error's type and message."""
+    try:
+        return repr(fn(factors, t))
+    except LatshellError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _refused_joins():
+    """The factor lists and targets of the refusals above, overlapping
+    factors, and factors whose complex lists a vertex that no facet
+    holds, last or first."""
+    b = points("x", "y")
+    impure = SimplicialComplex.from_faces("pqrs", [["p", "q", "r"], ["s"]])
+    edge = simplex_complex(("p", "q"))
+    loose_last = SimplicialComplex(("a", "b", "u"), {0b011})
+    loose_first = SimplicialComplex(("u", "a", "b"), {0b110})
+    return [
+        ([JoinFactor(void_complex(), -1, VDLeaf()), _point_factor("x", "y")], 0),
+        ([JoinFactor(b, -2, VDLeaf())], -1),
+        ([JoinFactor(impure, 1, VDLeaf())], 1),
+        ([_point_factor("a", "b"), JoinFactor(b, -1, VDLeaf())], 1),
+        ([_point_factor("x", "y"), _point_factor("x", "z")], 1),
+        ([JoinFactor(edge, 1, VDLeaf()), JoinFactor(b, 0, VDLeaf()),
+          _point_factor("q", "r")], 2),
+        ([JoinFactor(loose_last, -1, VDLeaf()), JoinFactor(points("x"), 0, VDLeaf())], 0),
+        ([JoinFactor(loose_first, -1, VDLeaf()), JoinFactor(points("x"), 0, VDLeaf())], 0),
+        ([JoinFactor(loose_last, 1, VDLeaf())], 0),
+        ([JoinFactor(loose_last, 1, VDNode("u", VDLeaf(), VDLeaf()))], 1),
+        ([JoinFactor(loose_first, 0, VDLeaf()), JoinFactor(b, 0, VDLeaf())], 1),
+        ([JoinFactor(loose_last, 1, VDLeaf()), _point_factor("u", "v")], 2),
+        ([JoinFactor(edge, 1, VDNode("z", VDLeaf(), VDLeaf()))], 1),
+    ]
+
+
+def test_join_certificate_matches_the_complex_oracle_on_refusals():
+    for factors, t in _refused_joins():
+        assert (_join_outcome(join_skeleton_certificate, factors, t)
+                == _join_outcome(reference_join_skeleton_certificate, factors, t))
+
+
+def _random_cert(rng, cx, depth):
+    """A certificate tree down the deletions and links of ``cx``, with no
+    shedding test; now and then it names a vertex outside the complex."""
+    if depth == 0 or len(cx.facets) <= 1 or rng.random() < 0.2:
+        return VDLeaf()
+    if rng.random() < 0.05:
+        return VDNode("stray", VDLeaf(), VDLeaf())
+    v = rng.choice(cx.vertices)
+    bit = cx.mask_of((v,))
+    link = cx.link_of((v,)) if cx.has_face(bit) else void_complex()
+    return VDNode(v, _random_cert(rng, cx.delete_vertex(v), depth - 1),
+                  _random_cert(rng, link, depth - 1))
+
+
+def _random_join_factor(rng, tag):
+    """A factor on up to four vertices named after ``tag``, now and then
+    with the vertex ``s`` that other factors may hold too, or listing a
+    vertex that no facet holds; sometimes void or empty, with facets that
+    need not form an antichain, a level from -2 up to one past its
+    dimension, and a certificate that may not fit it."""
+    names = [f"{tag}{i}" for i in range(rng.randint(0, 4))]
+    if rng.random() < 0.1:
+        names.append("s")
+    kind = rng.random()
+    if kind < 0.03:
+        cx = void_complex()
+    elif not names or kind < 0.1:
+        cx = empty_complex()
+    else:
+        masks = {sum(1 << i for i in rng.sample(range(len(names)),
+                                                rng.randint(1, len(names))))
+                 for _ in range(rng.randint(1, 4))}
+        cx = SimplicialComplex(names, masks if kind < 0.2 else _maximalize(masks))
+        if rng.random() < 0.15:
+            cx = SimplicialComplex(cx.vertices + (f"{tag}u",), cx.facets)
+        elif rng.random() < 0.1:
+            cx = SimplicialComplex((f"{tag}u",) + cx.vertices,
+                                   {f << 1 for f in cx.facets})
+    level = -2 if rng.random() < 0.03 else rng.randint(-1, (cx.dim or 0) + 1)
+    cert = rng.choice([VDLeaf(), cert_simplex_skeleton(cx.vertices, level),
+                       _random_cert(rng, cx, 4)])
+    return JoinFactor(cx, level, cert)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_join_certificate_matches_the_complex_oracle(rng):
+    """The mask loop gives the certificate, or the error, that the join
+    built on ``SimplicialComplex`` links and deletions gives."""
+    factors = [_random_join_factor(rng, tag) for tag in "abc"[:rng.randint(1, 3)]]
+    t = rng.randint(-2, 4)
+    assert (_join_outcome(join_skeleton_certificate, factors, t)
+            == _join_outcome(reference_join_skeleton_certificate, factors, t))
+
+
+def test_check_join_compares_skeleta_of_facet_ors():
+    """Two point pairs on disjoint bits join to the 4-cycle, whose facets
+    are the ORs; its 0-skeleton is that of the tetrahedron."""
+    factors = [cxm._Factor((0, 1), 0b0011, [0b0001, 0b0010], 0, VDLeaf()),
+               cxm._Factor((2, 3), 0b1100, [0b0100, 0b1000], 0, VDLeaf())]
+    cxm._check_join(factors, 1, [0b0101, 0b0110, 0b1001, 0b1010], "no")
+    cxm._check_join(factors, 0, [0b1111], "no")
+    with pytest.raises(InvalidCertificate, match="^no$"):
+        cxm._check_join(factors, 1, [0b1111], "no")
+    with pytest.raises(InvalidCertificate, match="^no$"):
+        cxm._check_join(factors, 1, [0b0101, 0b0110, 0b1001], "no")
+
+
+def test_spine_simplex_sheds_in_chain_order():
+    """The base case's spine simplex lists its vertices in chain order, not
+    in the poset's index order: at level -1 the join sheds its last vertex,
+    here b of the spine 0 < a < b < 1, listed before a."""
+    P = build_poset("0 b a p q 1".split(), [("0", "a"), ("a", "b"), ("b", "p"),
+                                           ("b", "q"), ("p", "1"), ("q", "1")])
+    lab = EdgeLabeling({("0", "a"): 1, ("a", "b"): 2, ("b", "p"): 3,
+                        ("b", "q"): 3, ("p", "1"): 3, ("q", "1"): 3})
+    cx, cert = constructive_vd_skeleton(P, lab, 2)
+    assert cert == VDNode("q", VDNode("b", VDNode("a", VDLeaf(), VDLeaf()),
+                                      VDLeaf()), VDLeaf())
+    assert repr(cert) == repr(reference_constructive_vd_skeleton(P, lab, 2)[1])
+    validate_vd_certificate(cert, cx)
+
+
+def test_constructive_call_builds_only_the_root_complex():
+    """One constructive call on each of the six lattices, and both readers
+    of its certificate, build the root's order complex and its skeleton
+    and no other ``SimplicialComplex``."""
+    for name, P, chain in vd_counts.lattices():
+        row = vd_counts.counts(P, chain)
+        assert row["simplicial"] <= 2 and row["compacts"] <= 1, name
 
 
 def test_lex_greatest_single_descent(n5, b3):

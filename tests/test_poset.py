@@ -13,6 +13,7 @@ from latshell.errors import (
     Unbounded,
     UnknownElement,
 )
+from latshell.poset import _kahn
 
 
 def closure_by_matrix_powering(elements, covers):
@@ -228,7 +229,9 @@ def test_random_posets_roundtrip_and_invariants(data):
     lo, hi = P.min_max_chain_covers()
     lengths = [c.length for c in chains]
     assert lo == min(lengths) and hi == max(lengths)
-    # the stored topological order, shared by every dynamic program
+    # the stored topological order, shared by every dynamic program; the
+    # one build_poset hands in is Kahn's order on the canonical cover rows
+    assert P.topo == tuple(_kahn(P.cover_up)[0])
     for Q in (P, P.dual(), interval(P, "bot", P.elements[P.n // 2])):
         place = {Q.elements[i]: t for t, i in enumerate(Q.topo)}
         assert sorted(Q.topo) == list(range(Q.n)) and all(

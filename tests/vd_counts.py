@@ -10,15 +10,20 @@ complexity bound.  Per lattice it prints:
 - ``levels``: shedding levels run (``complexes._shed_level`` calls);
 - ``distinct``: their distinct (mask, t) keys, a sub-poset's mask being
   its members as an index mask over the root;
+- ``lookups``: spine lookups (``complexes._VDCache.spine`` calls), which
+  the cache answers or passes to ``spines``;
 - ``spines``: ``labeling._interval_spine`` calls;
 - ``stats``: chain statistics computed (``labeling.stats_of_sequence``);
 - ``walks``: chain walks (``Poset.maximal_chains_idx``);
 - ``complexes``: order complexes built (``poset.chain_complex`` calls,
   which ``order_complex`` makes too);
 - ``posets``: ``Poset`` objects built (``Poset.__init__`` calls);
-- ``compacts``: ``SimplicialComplex.compact`` calls, over the call and
-  then ``validate_vd_certificate`` and ``shelling_from_vd`` on its
-  certificate, which build none of the things counted before;
+- ``simplicial``: ``SimplicialComplex`` objects built (its ``__init__``
+  calls, an ``OrderComplex``'s included);
+- ``compacts``: ``SimplicialComplex.compact`` calls;
+
+each over the call and then ``validate_vd_certificate`` and
+``shelling_from_vd`` on its certificate, which add to no column;
 
 then the totals.  The counts are taken by wrapping those functions for the
 length of the calls.
@@ -30,8 +35,8 @@ import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-COLUMNS = ("levels", "distinct", "spines", "stats", "walks", "complexes",
-           "posets", "compacts")
+COLUMNS = ("levels", "distinct", "lookups", "spines", "stats", "walks",
+           "complexes", "posets", "simplicial", "compacts")
 
 
 def lattices():
@@ -71,19 +76,21 @@ def counts(P, chain) -> dict:
             return fn(*args, **kwargs)
         return wrapped
 
-    def level(sub, full, t, cache):
+    def level(sub, facets, t, cache, passed):
         keys.append((sub[2], t))
-        return _shed_level(sub, full, t, cache)
+        return _shed_level(sub, facets, t, cache, passed)
 
     _shed_level = complexes._shed_level
     patches = [(complexes, "_shed_level", level)]
     for column, owner, attr in (
+            ("lookups", complexes._VDCache, "spine"),
             ("spines", labeling, "_interval_spine"),
             ("stats", labeling, "stats_of_sequence"),
             ("walks", poset.Poset, "maximal_chains_idx"),
             ("complexes", poset, "chain_complex"),
             ("complexes", complexes, "chain_complex"),
             ("posets", poset.Poset, "__init__"),
+            ("simplicial", complexes.SimplicialComplex, "__init__"),
             ("compacts", complexes.SimplicialComplex, "compact")):
         patches.append((owner, attr, counting(column, getattr(owner, attr))))
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
@@ -102,13 +109,13 @@ def counts(P, chain) -> dict:
 def main(argv=None) -> int:
     sys.path.insert(0, HERE)
     total = dict.fromkeys(COLUMNS, 0)
-    print(f"{'lattice':10}" + "".join(f"{c:>10}" for c in COLUMNS))
+    print(f"{'lattice':10}" + "".join(f"{c:>11}" for c in COLUMNS))
     for name, P, chain in lattices():
         row = counts(P, chain)
         for c in COLUMNS:
             total[c] += row[c]
-        print(f"{name:10}" + "".join(f"{row[c]:10}" for c in COLUMNS))
-    print(f"{'total':10}" + "".join(f"{total[c]:10}" for c in COLUMNS))
+        print(f"{name:10}" + "".join(f"{row[c]:11}" for c in COLUMNS))
+    print(f"{'total':10}" + "".join(f"{total[c]:11}" for c in COLUMNS))
     return 0
 
 
