@@ -15,7 +15,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import complexes as cxm
 from . import groups as gm
@@ -38,8 +39,10 @@ def _read_bytes(path: str) -> bytes:
         raise InputParseError(f"cannot read {path}: {exc}") from None
 
 
-def _read_json(path: str, allowed_keys) -> dict:
-    raw = _read_bytes(path)
+def _read_json(path: str, allowed_keys, raw: bytes | None = None) -> dict:
+    """The JSON object in ``raw``, the bytes of ``path`` (read when not
+    given), with no keys outside ``allowed_keys``."""
+    raw = _read_bytes(path) if raw is None else raw
     if raw.startswith(b"\xef\xbb\xbf"):
         raise InputParseError(f"{path}: byte-order mark not allowed")
     try:
@@ -58,10 +61,10 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def load_poset(path: str) -> pm.Poset:
+def load_poset(path: str, raw: bytes | None = None) -> pm.Poset:
     """A poset file: ``elements``, an array of id strings, and ``covers``,
-    an array of [lower, upper] pairs of ids."""
-    data = _read_json(path, POSET_KEYS)
+    an array of [lower, upper] pairs of ids.  ``raw`` as in ``_read_json``."""
+    data = _read_json(path, POSET_KEYS, raw)
     try:
         elements, covers = data["elements"], data["covers"]
     except KeyError as exc:
@@ -76,13 +79,13 @@ def load_poset(path: str) -> pm.Poset:
     return pm.build_poset(elements, [tuple(c) for c in covers])
 
 
-def load_labeling(path: str, poset: pm.Poset) -> lb.EdgeLabeling:
+def load_labeling(path: str, poset: pm.Poset, raw: bytes | None = None) -> lb.EdgeLabeling:
     """A labeling file: ``edges``, an array of {from, to, label} objects,
     each a cover of ``poset`` listed at most once; the labels are all
     finite numbers or all strings.  ``json`` reads ``NaN``, ``Infinity``
     and out-of-range numbers such as ``1e400`` as non-finite floats, which
-    are refused."""
-    data = _read_json(path, LABELING_KEYS)
+    are refused.  ``raw`` as in ``_read_json``."""
+    data = _read_json(path, LABELING_KEYS, raw)
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise InputParseError(f"{path}: 'edges' must be an array")
@@ -115,10 +118,10 @@ def load_labeling(path: str, poset: pm.Poset) -> lb.EdgeLabeling:
     return lb.EdgeLabeling(labels)
 
 
-def _read_facets(path: str) -> list:
+def _read_facets(path: str, raw: bytes | None = None) -> list:
     """The ``facets`` entry of a complex or order file: a list of facets,
-    each a JSON array of vertex-name strings."""
-    facets = _read_json(path, COMPLEX_KEYS).get("facets", [])
+    each a JSON array of vertex-name strings.  ``raw`` as in ``_read_json``."""
+    facets = _read_json(path, COMPLEX_KEYS, raw).get("facets", [])
     if not isinstance(facets, list):
         raise InputParseError(f"{path}: 'facets' must be an array")
     for f in facets:
@@ -128,8 +131,8 @@ def _read_facets(path: str) -> list:
     return facets
 
 
-def load_complex(path: str) -> cxm.SimplicialComplex:
-    facets = _read_facets(path)
+def load_complex(path: str, raw: bytes | None = None) -> cxm.SimplicialComplex:
+    facets = _read_facets(path, raw)
     vertices = []
     seen = set()
     for f in facets:
@@ -140,9 +143,10 @@ def load_complex(path: str) -> cxm.SimplicialComplex:
     return cxm.SimplicialComplex.from_faces(vertices, facets)
 
 
-def load_group(path: str, order_limit: int) -> gm.PermGroup:
+def load_group(path: str, order_limit: int, raw: bytes | None = None) -> gm.PermGroup:
+    raw = _read_bytes(path) if raw is None else raw
     try:
-        return gm.parse_group_file(_read_bytes(path).decode("utf-8"), order_limit)
+        return gm.parse_group_file(raw.decode("utf-8"), order_limit)
     except LatshellError:
         raise
     except Exception as exc:
@@ -150,7 +154,7 @@ def load_group(path: str, order_limit: int) -> gm.PermGroup:
 
 
 def labeling_json(lab: lb.EdgeLabeling) -> dict:
-    edges = [{"from": x, "to": y, "label": _plain(l)}
+    edges = [{"from": x, "to": y, "label": l}
              for (x, y), l in sorted(lab.labels.items())]
     return {"edges": edges}
 
@@ -179,32 +183,68 @@ def _plain(obj):
 
 
 class Report:
+    """One command's report.  Every input is read here, before any is
+    parsed, and the loaders parse the bytes kept in ``raw``, which are the
+    bytes whose hashes the report gives."""
+
     def __init__(self, command: str, inputs: dict):
         self.command = command
-        self.inputs = {p: hashlib.sha256(_read_bytes(p)).hexdigest()
-                       for p in inputs}
+        self.raw = {p: _read_bytes(p) for p in inputs}
+        self.inputs = {p: hashlib.sha256(b).hexdigest() for p, b in self.raw.items()}
         self.results = {}
         self.warnings = []
         self.element_order = None
         self._start = time.monotonic()
 
     def finish(self, fmt: str) -> str:
+        """The report text.  In the JSON format it is exactly
+        ``json.dumps(_plain(body), indent=2, sort_keys=True)``, written by
+        one walk over the raw results (``_json``); the text format lists
+        ``_plain(results)`` by key."""
         body = {
             "command": self.command,
             "inputs": self.inputs,
-            "results": _plain(self.results),
+            "results": self.results,
             "warnings": self.warnings,
             "element_order": self.element_order,
             "timing_seconds": round(time.monotonic() - self._start, 6),
         }
         if fmt == "json":
-            return json.dumps(body, indent=2, sort_keys=True)
+            return _json(body, "\n")
         lines = [f"{self.command}:"]
-        for k, v in sorted(body["results"].items()):
+        for k, v in sorted(_plain(self.results).items()):
             lines.append(f"  {k}: {v}")
         for w in self.warnings:
             lines.append(f"  warning: {w}")
         return "\n".join(lines)
+
+
+def _json(obj, eol: str) -> str:
+    """``json.dumps(_plain(obj), indent=2, sort_keys=True)``, for a value
+    on a line that ends in ``eol`` (a newline and that line's indent): a
+    dataclass is read by its fields, dict keys become ``str(k)``, sorted,
+    sets are sorted by ``repr`` and every list-like is written as a list.
+    Strings go through ``json``'s C string encoder, a list of strings in
+    one join; ``json`` writes the other scalars, and refuses other types."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    inner = eol + "  "
+    if isinstance(obj, dict):
+        ends = "{}"
+        parts = [_quote(k) + ": " + _json(v, inner)
+                 for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        ends = "[]"
+        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
+        parts = (list(map(_quote, items)) if all(type(v) is str for v in items)
+                 else [_json(v, inner) for v in items])
+    else:
+        return json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(parts) + eol + ends[1] if parts else ends
 
 
 @functools.cache
@@ -284,7 +324,7 @@ def run(argv) -> tuple[int, str]:
 
 def _poset_check(args):
     rep = Report("poset check", [args.poset])
-    P = load_poset(args.poset)
+    P = load_poset(args.poset, rep.raw[args.poset])
     rep.element_order = list(P.elements)
     rep.results = {
         "elements": P.n,
@@ -302,7 +342,7 @@ def _poset_check(args):
 
 def _label_modular(args):
     rep = Report("label modular", [args.poset])
-    P = load_poset(args.poset)
+    P = load_poset(args.poset, rep.raw[args.poset])
     rep.element_order = list(P.elements)
     L = lm.lattice_check(P)
     chain = lm.verify_chain_modularity(L, args.chain.split(","))
@@ -317,17 +357,17 @@ def _label_modular(args):
 
 def _label_verify(args):
     rep = Report("label verify", [args.poset, args.labeling])
-    P = load_poset(args.poset)
+    P = load_poset(args.poset, rep.raw[args.poset])
     rep.element_order = list(P.elements)
-    lab = load_labeling(args.labeling, P)
+    lab = load_labeling(args.labeling, P, rep.raw[args.labeling])
     res = (lb.verify_el if args.strict else lb.verify_quasi_el)(P, lab)
     rep.results = {
         "ok": res.ok,
         "violations": [
             {"kind": v.kind, "interval": list(v.interval),
-             "chains": _plain(v.chains)} for v in res.violations],
+             "chains": v.chains} for v in res.violations],
         "spines": {f"{x}..{y}": {"elements": list(s.elements),
-                                 "labels": _plain(s.alphas)}
+                                 "labels": s.alphas}
                    for (x, y), s in sorted(res.spines.items())},
     }
     return (0 if res.ok else 1), rep.finish(args.format)
@@ -335,7 +375,7 @@ def _label_verify(args):
 
 def _complex_vd(args):
     rep = Report("complex vd", [args.complex])
-    cx = load_complex(args.complex)
+    cx = load_complex(args.complex, rep.raw[args.complex])
     if args.skeleton is not None:
         if args.skeleton >= 0:
             # the skeleton keeps every vertex, so refuse before building it
@@ -350,7 +390,7 @@ def _complex_vd(args):
 
 def _complex_depth(args):
     rep = Report("complex depth", [args.complex])
-    cx = load_complex(args.complex)
+    cx = load_complex(args.complex, rep.raw[args.complex])
     rep.results = {"depth": cxm.depth(cx, limit=args.limit_faces),
                    "dimension": cx.dim,
                    "betti": cxm.betti_numbers(cx, limit=args.limit_faces)}
@@ -359,8 +399,8 @@ def _complex_depth(args):
 
 def _complex_shell(args):
     rep = Report("complex shell", [args.complex, args.verify])
-    cx = load_complex(args.complex)
-    order = [frozenset(f) for f in _read_facets(args.verify)]
+    cx = load_complex(args.complex, rep.raw[args.complex])
+    order = [frozenset(f) for f in _read_facets(args.verify, rep.raw[args.verify])]
     ok = cxm.verify_shelling(cx, order)
     rep.results = {"shelling": ok}
     return (0 if ok else 1), rep.finish(args.format)
@@ -368,14 +408,14 @@ def _complex_shell(args):
 
 def _morse_report(args):
     rep = Report("morse report", [args.poset, args.labeling])
-    P = load_poset(args.poset)
+    P = load_poset(args.poset, rep.raw[args.poset])
     rep.element_order = list(P.elements)
-    lab = load_labeling(args.labeling, P)
+    lab = load_labeling(args.labeling, P, rep.raw[args.labeling])
     report = mm.homology_consistency(P, lab, limit=args.limit_chains,
                                      homology_limit=args.limit_faces)
     rep.results = {
         "descending_chains": [
-            {"chain": list(d.chain), "labels": _plain(d.labels),
+            {"chain": list(d.chain), "labels": d.labels,
              "distinct": d.ell0, "repeated": d.ell1,
              "dimension_bound": d.dimension_bound}
             for d in report.descending],
@@ -392,7 +432,7 @@ def _morse_report(args):
 
 def _group_lattice(args):
     rep = Report("group lattice", [args.group])
-    G = load_group(args.group, args.limit_order)
+    G = load_group(args.group, args.limit_order, rep.raw[args.group])
     GL = gm.subgroup_lattice(G, order_limit=args.limit_order)
     rep.element_order = list(GL.names)
     rep.results = {
@@ -408,13 +448,13 @@ def _group_lattice(args):
 
 def _group_solvable(args):
     rep = Report("group solvable", [args.group])
-    G = load_group(args.group, args.limit_order)
+    G = load_group(args.group, args.limit_order, rep.raw[args.group])
     GL = gm.subgroup_lattice(G, order_limit=args.limit_order)
     if args.method == "depth":
         out = gm.solvability_by_depth(GL, homology_limit=args.limit_faces)
     else:
         out = gm.skeleton_shellability_criterion(GL, homology_limit=args.limit_faces)
-    rep.results = _plain(out)
+    rep.results = out
     if not out.agree:
         rep.warnings.append("topological verdict disagrees with the derived series")
         return 1, rep.finish(args.format)
@@ -423,10 +463,10 @@ def _group_solvable(args):
 
 def _group_thevenaz(args):
     rep = Report("group thevenaz", [args.group])
-    G = load_group(args.group, args.limit_order)
+    G = load_group(args.group, args.limit_order, rep.raw[args.group])
     GL = gm.subgroup_lattice(G, order_limit=args.limit_order)
     out = gm.thevenaz_check(GL, homology_limit=args.limit_faces)
-    rep.results = _plain(out)
+    rep.results = out
     return (0 if out.ok else 1), rep.finish(args.format)
 
 

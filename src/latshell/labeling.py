@@ -5,11 +5,14 @@ A labeling assigns each cover relation an orderable label.  The verifier
 checks, interval by interval, that the weakly ascending maximal chains are
 exactly the maximal extensions of one spine chain, that every cover inside
 a spine gap carries that gap's label, and that spine extensions strictly
-precede all other maximal chains in lexicographic order.
+precede all other maximal chains in lexicographic order.  The chains of
+every interval [a, b] and their label sequences are read off one walk up
+from each lower end a (``_lower_walks``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -220,8 +223,8 @@ def verify_quasi_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
     On success, returns the ascent spine of every interval of length >= 1.
     A violation records the interval and the offending chains.
     """
-    return _spine_verdict(P, (1 << P.n) - 1,
-                          lambda lo, hi: _interval_spine(_sequences(P, lab, lo, hi)))
+    walk = _lower_walks(P, lab)
+    return _spine_verdict(P, (1 << P.n) - 1, lambda lo, hi: _interval_spine(walk(lo)[hi]))
 
 
 def _spine_verdict(P: Poset, mask: int, spine_of) -> QuasiELResult:
@@ -249,10 +252,47 @@ def _intervals(P: Poset, mask: int):
             yield xi, yi
 
 
-def _sequences(P: Poset, lab: EdgeLabeling, lo: int, hi: int) -> dict:
-    """The maximal chains of [lo, hi] (indices), in ``Poset.chains`` order,
-    mapped to their label sequences."""
-    return {c: lab.sequence(c) for c in P.chains(lo, hi)}
+def _lower_walks(P: Poset, lab: EdgeLabeling):
+    """``walk(lo)``: for each element index b, the maximal chains of [lo, b]
+    (none unless lo <= b), in ``Poset.chains`` order, mapped to their label
+    sequences.  ``walk`` keeps its last answer, so reading the intervals in
+    ``_intervals`` order walks once per lower end.
+
+    One walk from lo goes up every cover (``_label_walk``), so its nodes
+    are the chains from lo to every element above it, each met in
+    lexicographic order of its index tuple.  Those that end at b are the
+    maximal chains of [lo, b], in the order of ``Poset.maximal_chains_idx``,
+    whose walk from lo is the same walk cut at b.
+
+    Every cover's label is read first.  When one is missing, the error is
+    the one that reading each interval's chains in turn meets first: the
+    first missing cover of the first chain that holds one, in
+    ``_intervals`` and then ``Poset.chains`` order.
+    """
+    P.require_bounded()
+    if not lab.labels.keys() >= set(P.covers()):
+        for xi, yi in _intervals(P, (1 << P.n) - 1):
+            list(map(lab.sequence, P.chains(xi, yi)))
+    name = P.elements
+    steps = [[(j, name[j], lab.label(name[i], name[j])) for j in bits(row)]
+             for i, row in enumerate(P.cover_up)]
+    return functools.lru_cache(maxsize=1)(functools.partial(_label_walk, P, steps))
+
+
+def _label_walk(P: Poset, steps: list, lo: int) -> list:
+    """The walk of ``_lower_walks`` from ``lo``: the DFS of
+    ``Poset.maximal_chains_idx`` up ``steps``, each element's covers in
+    index order with their labels, and no upper end; each step extends the
+    chain and its label sequence by one cover."""
+    ends = [{} for _ in range(P.n)]
+
+    def dfs(i, chain, seq):
+        ends[i][chain] = seq
+        for j, e, l in steps[i]:
+            dfs(j, chain + (e,), seq + (l,))
+
+    dfs(lo, (P.elements[lo],), ())
+    return ends
 
 
 def _interval_spine(seqs: dict):
@@ -359,14 +399,14 @@ def interval_spine(P: Poset, lab: EdgeLabeling):
     """Spine of the full bottom-to-top interval of a bounded poset; returns
     an AscentSpine or a Violation."""
     P.require_bounded()
-    return _interval_spine(_sequences(P, lab, P.bottom, P.top))
+    return _interval_spine({c: lab.sequence(c) for c in P.chains(P.bottom, P.top)})
 
 
 def verify_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
     """Strict verification: every interval has a unique weakly ascending
     maximal chain, strictly lexicographically first."""
-    return _spine_verdict(P, (1 << P.n) - 1,
-                          lambda lo, hi: _strict_spine(_sequences(P, lab, lo, hi)))
+    walk = _lower_walks(P, lab)
+    return _spine_verdict(P, (1 << P.n) - 1, lambda lo, hi: _strict_spine(walk(lo)[hi]))
 
 
 def _strict_spine(seqs: dict):
@@ -394,10 +434,11 @@ def verify_quasi_cl(P: Poset, rlab: RootedLabeling, max_elements: int = 40) -> Q
                         f"element limit {max_elements}")
     violations = []
     spines = {}
-    roots = [P.chains(P.bottom, xi) for xi in range(P.n)]
+    walk = _lower_walks(P, EdgeLabeling(dict.fromkeys(P.covers())))  # chains only
+    roots = walk(P.bottom)  # the chains of [bottom, x], (bottom,) at the bottom
     for xi, yi in _intervals(P, (1 << P.n) - 1):
         for root in roots[xi]:
-            out = _rooted_interval_spine(P, xi, yi, rlab, root)
+            out = _rooted_interval_spine(P, xi, yi, rlab, root, walk(xi)[yi])
             if isinstance(out, Violation):
                 violations.append(out)
             else:
@@ -406,9 +447,10 @@ def verify_quasi_cl(P: Poset, rlab: RootedLabeling, max_elements: int = 40) -> Q
 
 
 def _rooted_interval_spine(P: Poset, lo: int, hi: int, rlab: RootedLabeling,
-                           root: tuple):
+                           root: tuple, chains: dict):
+    """The spine or Violation of [lo, hi] under ``root``; its maximal
+    chains are the keys of ``chains``, in ``Poset.chains`` order."""
     x, y = P.elements[lo], P.elements[hi]
-    chains = P.chains(lo, hi)
 
     def seq(c):
         out = []
@@ -462,14 +504,15 @@ def first_label_separation(P: Poset, lab: EdgeLabeling, pair=None):
     Checks the given interval, or all intervals, and returns violations.
     """
     P.require_bounded()
-    pairs = _intervals(P, (1 << P.n) - 1) if pair is None else [P.pair_idx(*pair)]
+    walk = _lower_walks(P, lab) if pair is None else None
+    pairs = _intervals(P, (1 << P.n) - 1) if walk else [P.pair_idx(*pair)]
     out = []
     for xi, yi in pairs:
         x, y = P.elements[xi], P.elements[yi]
-        chains = P.chains(xi, yi)
-        ascending = [c for c in chains if _weakly_ascending(lab.sequence(c))]
+        seqs = walk(xi)[yi] if walk else {c: lab.sequence(c) for c in P.chains(xi, yi)}
+        ascending = [c for c, seq in seqs.items() if _weakly_ascending(seq)]
         on_ascending = {c[1] for c in ascending if len(c) > 1}
-        atoms = {c[1] for c in chains if len(c) > 1}
+        atoms = {c[1] for c in seqs if len(c) > 1}
         for a, b in itertools.product(sorted(on_ascending), sorted(atoms - on_ascending)):
             if not lab.label(x, a) < lab.label(x, b):
                 out.append(SeparationViolation((x, y), a, b))

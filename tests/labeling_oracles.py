@@ -5,12 +5,19 @@ first-label separation check as they stood when every interval was built
 as its own sub-poset with ``interval`` and its chains enumerated there.
 The library now reads each interval's chains off the root poset;
 ``test_labeling_oracles.py`` checks that it gives the same results.
+
+``reference_verify_quasi_el`` and ``reference_verify_el`` are the library's
+verifiers as they stood when each interval's chains were walked and
+labelled on their own (``_sequences``), before one walk per lower end read
+them all; they pin the order of spines and violations and the first error
+of a partial labeling as well.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from latshell import labeling as lb
 from latshell.errors import SizeLimit
 from latshell.labeling import (
     AscentSpine,
@@ -236,3 +243,19 @@ def first_label_separation(P: Poset, lab: EdgeLabeling, pair=None):
             if not lab.label(x, a) < lab.label(x, b):
                 out.append(SeparationViolation((x, y), a, b))
     return out
+
+
+def reference_verify_quasi_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
+    return lb._spine_verdict(P, (1 << P.n) - 1,
+                             lambda lo, hi: lb._interval_spine(_sequences(P, lab, lo, hi)))
+
+
+def reference_verify_el(P: Poset, lab: EdgeLabeling) -> QuasiELResult:
+    return lb._spine_verdict(P, (1 << P.n) - 1,
+                             lambda lo, hi: lb._strict_spine(_sequences(P, lab, lo, hi)))
+
+
+def _sequences(P: Poset, lab: EdgeLabeling, lo: int, hi: int) -> dict:
+    """The maximal chains of [lo, hi] (indices), in ``Poset.chains`` order,
+    mapped to their label sequences."""
+    return {c: lab.sequence(c) for c in P.chains(lo, hi)}

@@ -1,9 +1,13 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latshell import (
     constructive_vd_skeleton,
@@ -16,7 +20,9 @@ from latshell import (
 )
 from latshell import groups as gm
 from latshell.cli import (
+    _json,
     _parser,
+    _plain,
     complex_json,
     load_complex,
     load_labeling,
@@ -486,3 +492,50 @@ def test_non_digit_cycle_points_exit_2(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body == {"error": "NotAPermutation",
                     "message": "bad cycle '1_0 2': not a list of integers"}
+
+
+def test_partial_labeling_names_the_first_missing_cover(tmp_path, capsys):
+    # A walk up from 0 meets (a, c) before (0, b); the verifier names the
+    # cover that reading the intervals in order meets first: [0, a] has
+    # all its labels and [0, b] is the next interval.
+    poset = tmp_path / "square.json"
+    poset.write_text(json.dumps({"elements": ["0", "a", "b", "c"], "covers": [
+        ["0", "a"], ["a", "c"], ["0", "b"], ["b", "c"]]}))
+    lab = tmp_path / "partial.json"
+    lab.write_text(json.dumps({"edges": [
+        {"from": "0", "to": "a", "label": 1},
+        {"from": "b", "to": "c", "label": 2}]}))
+    for strict in ([], ["--strict"]):
+        assert main(["label", "verify", "--poset", str(poset),
+                     "--labeling", str(lab), *strict]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "UnknownElement", "message": "no label on cover ('0', 'b')"}
+
+
+@dataclass(frozen=True)
+class _Pair:
+    first: object
+    second: object
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 1e22, 1e-7, math.nan, math.inf, -math.inf]))
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text())
+_HASHABLE = st.one_of(_LEAVES, st.tuples(_LEAVES, _LEAVES))
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple),
+    st.sets(_HASHABLE), st.frozensets(_HASHABLE),
+    st.lists(st.text()),
+    st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans()), inner),
+    st.builds(_Pair, inner, inner)), max_leaves=30)
+
+
+@given(_VALUES)
+@example({1: "int", "1": "str", True: "bool", "True": _Pair((), set())})
+@settings(max_examples=300, deadline=None)
+def test_report_walk_writes_the_bytes_of_json_dumps(value):
+    """The JSON report is one walk over the raw results, byte for byte
+    ``json.dumps`` of their ``_plain`` form."""
+    body = {"results": value, "inputs": {"a.json": "0" * 64}, "warnings": []}
+    assert _json(body, "\n") == json.dumps(_plain(body), indent=2, sort_keys=True)
+    assert _json(value, "\n") == json.dumps(_plain(value), indent=2, sort_keys=True)

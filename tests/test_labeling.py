@@ -33,7 +33,10 @@ from latshell.labeling import (
     stats_of_sequence,
 )
 
-from conftest import b2_poset
+from latshell import labeling as lb
+from latshell.poset import Poset
+
+from conftest import b2_poset, subset_poset
 
 
 def std_el_labeling(P):
@@ -352,3 +355,26 @@ def test_stats_properties(seq):
     assert st_.weakly_ascending == (len(st_.descents) == 0)
     assert st_.weakly_descending == (len(st_.ascents) == 0)
     assert len(st_.ascents) + len(st_.descents) <= len(seq) - 1
+
+
+def test_verifiers_walk_once_per_lower_end(pi4, monkeypatch):
+    """On B4 and Pi4 the verifiers read every interval off one walk per
+    lower end (every element but the top), with no interval walk."""
+    calls = {"walks": 0, "intervals": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lb, "_label_walk", counted("walks", lb._label_walk))
+    monkeypatch.setattr(Poset, "maximal_chains_idx",
+                        counted("intervals", Poset.maximal_chains_idx))
+    P4, L4, m4 = pi4
+    B4 = subset_poset(4)
+    for P, lab in ((B4, std_el_labeling(B4)), (P4, left_modular_labeling(L4, m4))):
+        for verify in (verify_quasi_el, verify_el):
+            calls.update(walks=0, intervals=0)
+            assert verify(P, lab).ok
+            assert calls == {"walks": P.n - 1, "intervals": 0}

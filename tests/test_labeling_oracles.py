@@ -58,6 +58,24 @@ def test_verifiers_match_interval_oracles(rng):
             == _outcome(oracle.first_label_separation, P, lab, pair=pair))
 
 
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_lower_end_walk_matches_the_per_interval_walk(rng):
+    """One walk per lower end gives what walking and labelling each
+    interval on its own gave: the verdict, the spines and violations in the
+    same order, and for a labeling that misses covers the same first
+    error, which the walk meets in another order."""
+    P = random_poset(rng)
+    lab = random_labeling(rng, P)
+    if rng.random() < 0.4:
+        kept = [c for c in lab.labels if rng.random() < 0.8]
+        lab = lb.EdgeLabeling({c: lab.labels[c] for c in kept})
+    for name in ("verify_quasi_el", "verify_el"):
+        got = _outcome(lambda: _whole(getattr(lb, name)(P, lab)))
+        want = _outcome(lambda: _whole(getattr(oracle, f"reference_{name}")(P, lab)))
+        assert got == want, name
+
+
 def test_random_labelings_reach_every_outcome():
     """The random inputs above are not vacuous: over a fixed sample, both
     verdicts and every violation kind occur, relaxed and strict."""
