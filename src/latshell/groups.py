@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import labeling as lb
 from .complexes import (
@@ -40,7 +41,8 @@ from .errors import (
 from .lattice import (
     Lattice,
     ModularChain,
-    classify_modularity,
+    _classify_together,
+    _pair_table,
     complement_refinements,
     lattice_check,
     verify_chain_modularity,
@@ -235,10 +237,12 @@ def _extend(table, members, elems: list, gens: list, new) -> tuple:
 
     H is given by its set of element indices, its element list (identity
     first) and its generators.  Each new generator g grows H to <H, g> as a
-    union of left cosets x.H of the subgroup before g: for each coset
-    representative x and each generator s, the product s.x either lies in
-    the union or starts a new coset, so nothing is re-closed from the
-    identity.  Returns (frozenset of indices, elements, generators).
+    union of left cosets y.H of the subgroup before g: for each coset
+    representative x and each generator s, the product y = s.x either lies
+    in the union or starts a new coset, so nothing is re-closed from the
+    identity.  The coset y.H is the row of y read at H's elements, by one
+    ``itemgetter`` of those elements built once per new generator.
+    Returns (frozenset of indices, elements, generators).
     """
     for g in new:
         if g in members:
@@ -248,13 +252,17 @@ def _extend(table, members, elems: list, gens: list, new) -> tuple:
         elems = list(block)
         members = set(members)
         rows = [table[s] for s in gens]
+        if len(block) > 1:
+            coset_of = itemgetter(*block)
+        else:
+            # itemgetter of one key returns the item, not a tuple
+            coset_of = lambda row, h=block[0]: (row[h],)
         reps = [block[0]]
         for x in reps:
             for row in rows:
                 y = row[x]
                 if y not in members:
-                    row_y = table[y]
-                    coset = [row_y[h] for h in block]
+                    coset = coset_of(table[y])
                     members.update(coset)
                     elems += coset
                     reps.append(y)
@@ -447,13 +455,18 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLatti
     normal subgroups, and fix a deterministic chief series.
 
     Subgroups are held as sets and masks of ``G.table()`` indices, and the
-    enumerator's class walk tells which are normal.  Meets are checked
-    against intersections for all pairs; joins for all pairs up to
-    ``JOIN_CHECK_LIMIT`` subgroups, and on a deterministic sample beyond
-    that, against the larger subgroup closed by the smaller one's
-    generators, which the enumerator keeps.  Every normal subgroup must
-    classify as two-sided modular, and the chief series check reuses those
-    reports.
+    enumerator's class walk tells which are normal.  The meet of two
+    subgroups is read off their intersection: the intersection is a
+    subgroup, so when it is enumerated it is the largest enumerated
+    subgroup inside both.  An intersection that is not enumerated fails
+    the meet self-check, at the first such pair, unless ``lattice_check``
+    finds the poset no lattice first.  Joins are read off the up-sets and
+    checked, for all pairs up to ``JOIN_CHECK_LIMIT`` subgroups and on a
+    deterministic sample beyond that, against the larger subgroup closed
+    by the smaller one's generators, which the enumerator keeps.  Every
+    normal subgroup must classify as two-sided modular; a pair of normal
+    subgroups is tested once for both, and the chief series check reuses
+    those reports.
     """
     classes = _subgroup_classes(G, order_limit)
     members = [m for m, *_ in classes]
@@ -475,13 +488,21 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLatti
             row &= containing[k]
         up.append(row)
     P = from_up(names, up)
-    L = lattice_check(P)
+    P.require_bounded()
+    # the intersection of two subgroups is a subgroup, so when it is
+    # enumerated it is their meet
+    meet = _pair_table(masks)
+    if meet is None:
+        lattice_check(P)
+        enumerated = set(masks)
+        for i, j in itertools.combinations(range(n), 2):
+            if masks[i] & masks[j] not in enumerated:
+                raise SelfCheckFailed("meet", f"meet of {names[i]} and {names[j]} "
+                                              "disagrees with intersection")
+    # a bounded poset with all meets is a lattice, so every join is there
+    join = _pair_table(up)
+    L = Lattice(P, meet, join)
 
-    meet, join = L._meet, L._join
-    for i, j in itertools.combinations(range(n), 2):
-        if masks[meet[i][j]] != masks[i] & masks[j]:
-            raise SelfCheckFailed("meet", f"meet of {names[i]} and {names[j]} "
-                                          "disagrees with intersection")
     pairs = itertools.combinations(range(n), 2)
     if n > JOIN_CHECK_LIMIT:
         pairs = itertools.islice(pairs, 0, None, 97)
@@ -495,11 +516,12 @@ def subgroup_lattice(G: PermGroup, order_limit: int = ORDER_LIMIT) -> GroupLatti
     normal = sum(1 << i for i, c in enumerate(classes) if c[3])
     normal_names = {names[i] for i in bits(normal)}
     reports = {}
-    for nm in sorted(normal_names):
-        reports[nm] = classify_modularity(L, nm)
-        if not reports[nm].modular:
-            raise SelfCheckFailed("normal-modularity",
-                                  f"normal subgroup {nm} is not two-sided modular")
+    by_name = [P.idx(nm) for nm in sorted(normal_names)]
+    for report in _classify_together(L, by_name):
+        reports[report.element] = report
+        if not report.modular:
+            raise SelfCheckFailed("normal-modularity", f"normal subgroup "
+                                  f"{report.element} is not two-sided modular")
 
     chief_names = _chief_series_names(P, normal)
     chief = verify_chain_modularity(L, chief_names, reports)

@@ -2,8 +2,8 @@
 distributivity of generated sublattices.
 
 All tests here are exhaustive scans over the (small) element set; meets and
-joins are found by looking up intersections of down-sets and up-sets, and
-ties are reported rather than silently broken.
+joins are found by looking up intersections of down-sets and up-sets in
+one pair-table routine, and ties are reported rather than silently broken.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ def lattice_check(P: Poset) -> Lattice:
     The meet of i and j exists exactly when the common lower bounds
     ``down[i] & down[j]`` are the down-set of some element k, and then k is
     the meet: k is a lower bound above all the others, and conversely the
-    down-set of a greatest lower bound is the set of all lower bounds.
-    Distinct elements have distinct down-sets, so one dictionary from
-    down-set to element finds every meet, and dually for joins.
+    down-set of a greatest lower bound is the set of all lower bounds.  So
+    the meet table is ``_pair_table`` over the down-set rows, and dually
+    the join table is ``_pair_table`` over the up-set rows; when either
+    misses a pair, the pairs are scanned again to name the first.
 
     Raises NotALattice with the first offending pair, in the order
     (i, j >= i) with the meet before the join, when some pair of elements
@@ -104,22 +105,30 @@ def lattice_check(P: Poset) -> Lattice:
     """
     P.require_bounded()
     down, up = P.down, P.up
-    down_of = {row: k for k, row in enumerate(down)}.get
-    up_of = {row: k for k, row in enumerate(up)}.get
-    meet, join = [], []
-    for i, (d, u) in enumerate(zip(down, up)):
-        # the pairs (i, j) for j >= i; those with j < i are in earlier rows
-        mrow = [down_of(d & e) for e in down[i:]]
-        jrow = [up_of(u & v) for v in up[i:]]
-        if None in mrow or None in jrow:
-            for j, g, l in zip(range(i, P.n), mrow, jrow):
-                for word, k, rows in (("meet", g, down), ("join", l, up)):
-                    if k is None:
-                        raise NotALattice(P.elements[i], P.elements[j],
-                                          _tie_reason(P, rows[i] & rows[j], word))
-        meet.append([row[i] for row in meet] + mrow)
-        join.append([row[i] for row in join] + jrow)
+    meet, join = _pair_table(down), _pair_table(up)
+    if meet is None or join is None:
+        keys = {"meet": set(down), "join": set(up)}
+        for i, j in itertools.combinations_with_replacement(range(P.n), 2):
+            for word, rows in (("meet", down), ("join", up)):
+                if rows[i] & rows[j] not in keys[word]:
+                    raise NotALattice(P.elements[i], P.elements[j],
+                                      _tie_reason(P, rows[i] & rows[j], word))
     return Lattice(P, meet, join)
+
+
+def _pair_table(keys) -> list[list[int]] | None:
+    """The table T with ``keys[T[i][j]] == keys[i] & keys[j]``, or None as
+    soon as some pair's intersection is no key.  The keys must be
+    distinct."""
+    key_of = {row: k for k, row in enumerate(keys)}.get
+    table = []
+    for i, a in enumerate(keys):
+        # the pairs (i, j) for j >= i; those with j < i are in earlier rows
+        row = [key_of(a & b) for b in keys[i:]]
+        if None in row:
+            return None
+        table.append([t[i] for t in table] + row)
+    return table
 
 
 def _tie_reason(P: Poset, mask: int, word: str) -> str:
@@ -165,25 +174,54 @@ def classify_modularity(L: Lattice, x: str) -> ModularityReport:
     a >= b both are a ^ z, as b <= a ^ z.  So skipping them leaves the
     first witness as it is.
     """
+    return _classify(L, L.poset.idx(x))
+
+
+def _classify_together(L: Lattice, indices):
+    """The ``classify_modularity`` reports of the elements of index
+    ``indices``, in that order, yielded one by one.  The pair (x, y) that
+    classifies x from the left classifies y from the right, so the pairs
+    tested are kept and a pair of two of these elements is tested once."""
+    tested = {}
+    for i in indices:
+        yield _classify(L, i, tested)
+
+
+def _classify(L: Lattice, i: int, tested: dict | None = None) -> ModularityReport:
+    """``classify_modularity`` of the element of index i.  ``tested``, when
+    given, maps an element b to its up-set as a list and a dict from each
+    a tested against it to the ``_pair_witness`` of the pair (a, b), and
+    is filled in as pairs are tested."""
     P = L.poset
-    meet, join = L._meet, L._join
-    i = P.idx(x)
-    above_x = list(bits(P.up[i]))
-    incomparable = bits(~(P.up[i] | P.down[i]) & ((1 << P.n) - 1))
+    meet, join, up = L._meet, L._join, P.up
+    elements = P.elements
+    witness = _pair_witness
+    if tested is not None:
+        def witness(meet, join, a, b, above_b):
+            entry = tested.get(b)
+            if entry is None:
+                entry = tested[b] = list(above_b), {}
+            above_b, found = entry
+            if a not in found:
+                found[a] = _pair_witness(meet, join, a, b, above_b)
+            return found[a]
+
+    above_i = list(bits(up[i]))
+    incomparable = bits(~(up[i] | P.down[i]) & ((1 << P.n) - 1))
     wl = wr = None
     for j in incomparable:
         if wl is None:
-            k = _pair_witness(meet, join, i, j, bits(P.up[j]))
+            k = witness(meet, join, i, j, bits(up[j]))
             if k is not None:
-                wl = (L.elements[j], L.elements[k])
+                wl = (elements[j], elements[k])
         if wr is None:
-            k = _pair_witness(meet, join, j, i, above_x)
+            k = witness(meet, join, j, i, above_i)
             if k is not None:
-                wr = (L.elements[j], L.elements[k])
+                wr = (elements[j], elements[k])
         if wl is not None and wr is not None:
             break
     left = wl is None
-    return ModularityReport(x, left, left and wr is None, wl, wr)
+    return ModularityReport(elements[i], left, left and wr is None, wl, wr)
 
 
 def verify_chain_modularity(L: Lattice, chain, reports=None) -> ModularChain:

@@ -11,11 +11,22 @@ every element of the group, where the library reads normality off the
 size of the subgroup's class in its enumeration.  They are kept as they
 were, on this module's own permutation products and table, so they share
 no code with the routines they check.
+
+``reference_extend`` is the Dimino closure that built each coset by a
+list comprehension, where the library takes it with one ``itemgetter``
+call.  ``reference_meet_join`` is the assembly ``subgroup_lattice`` had
+before it read meets off intersections: a lattice check (here the
+bound-scanning one of ``lattice_oracles``), then a check of every meet
+against the intersection.
 """
 
-from latshell.errors import OrderLimit
+import itertools
+
+from latshell.errors import OrderLimit, SelfCheckFailed
 from latshell.groups import PermGroup
-from latshell.poset import bits
+from latshell.poset import bits, from_up
+
+from lattice_oracles import reference_lattice_check
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
@@ -151,3 +162,41 @@ def reference_is_normal(G: PermGroup, H: frozenset) -> bool:
     """g H g^-1 == H for every element g of G, in permutation space."""
     return all({_mul(_mul(g, h), _inv(g)) for h in H} == H
                for g in G.elements)
+
+
+def reference_extend(table, members, elems: list, gens: list, new) -> tuple:
+    """Dimino closure of a subgroup by the element indices in ``new``, as
+    ``groups._extend``: (frozenset of indices, elements, generators)."""
+    for g in new:
+        if g in members:
+            continue
+        gens = gens + [g]
+        block = elems
+        elems = list(block)
+        members = set(members)
+        rows = [table[s] for s in gens]
+        reps = [block[0]]
+        for x in reps:
+            for row in rows:
+                y = row[x]
+                if y not in members:
+                    row_y = table[y]
+                    coset = [row_y[h] for h in block]
+                    members.update(coset)
+                    elems += coset
+                    reps.append(y)
+    return frozenset(members), elems, gens
+
+
+def reference_meet_join(masks, names):
+    """The subgroups given by element masks, ordered by containment, as a
+    lattice by the bound-scanning check, whose every meet must be the
+    intersection: ``SelfCheckFailed("meet")`` names the first pair, in
+    ``itertools.combinations`` order, where it is not."""
+    up = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
+    L = reference_lattice_check(from_up(names, up))
+    for i, j in itertools.combinations(range(len(masks)), 2):
+        if masks[L._meet[i][j]] != masks[i] & masks[j]:
+            raise SelfCheckFailed("meet", f"meet of {names[i]} and {names[j]} "
+                                          "disagrees with intersection")
+    return L

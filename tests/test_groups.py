@@ -37,14 +37,17 @@ from latshell.errors import (
 from latshell.labeling import stats_of_sequence
 
 from conftest import partition_poset
-from group_counts import closures
+from group_counts import closures, pair_tests
 from group_oracles import (
+    reference_extend,
     reference_generated_subgroup,
     reference_is_normal,
     reference_is_solvable,
+    reference_meet_join,
     reference_subgroups,
     reference_table,
 )
+from lattice_oracles import reference_lattice_check
 
 GROUP_FILES = {
     "C2^4": "degree: 8\n(1 2)\n(3 4)\n(5 6)\n(7 8)\n",
@@ -226,6 +229,122 @@ def test_generated_subgroup_matches_reference(picks):
     got = gm._extend(S5.table(), {e}, [e], [], picks)[0]
     assert ({S5.elements[i] for i in got}
             == reference_generated_subgroup(S5, seed))
+
+
+@functools.cache
+def classes(name):
+    G = gm.alternating(4) if name == "A4" else GROUPS[name]()
+    return G, gm._subgroup_classes(G, gm.ORDER_LIMIT)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["S4", "A5", "S5", "PSL(2,7)"]), st.data())
+def test_extend_matches_reference(name, data):
+    """The coset step takes y.H in one itemgetter call; the closure keeps
+    the members, the element order and the generators of the list-built
+    cosets, from any subgroup (the trivial one's block has one element)
+    and by any elements, inside it or not."""
+    G, found = classes(name)
+    members, elems, gens, _ = found[data.draw(
+        st.one_of(st.just(0), st.integers(0, len(found) - 1)))]
+    new = data.draw(st.lists(st.one_of(st.integers(0, G.order - 1),
+                                       st.sampled_from(elems)), max_size=4))
+    table = G.table()
+    assert (gm._extend(table, members, elems, gens, new)
+            == reference_extend(table, members, elems, gens, new))
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "A4", "A5", "D4", "C2^4"])
+def test_meet_and_join_tables_match_references(name):
+    G, _ = classes(name)
+    GL = subgroup_lattice(G)
+    L, subs = GL.lattice, GL.subgroup_sets
+    expected = reference_lattice_check(L.poset)
+    assert L._meet == expected._meet and L._join == expected._join
+    index = {h: k for k, h in enumerate(subs)}
+    assert L._meet == [[index[a & b] for b in subs] for a in subs]
+
+
+def outcome(fn, *args):
+    """("value", None), or the type, check name and message of the error."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, getattr(exc, "check", None), str(exc)
+    return "value", None
+
+
+def dropping(monkeypatch, k):
+    """Make ``_subgroup_classes`` leave out its k-th subgroup."""
+    enumerate_classes = gm._subgroup_classes
+
+    def drop(G, order_limit):
+        found = enumerate_classes(G, order_limit)
+        del found[k]
+        return found
+
+    monkeypatch.setattr(gm, "_subgroup_classes", drop)
+
+
+def dropped_reference(G, k):
+    """The outcome of the reference meet assembly once H_k is left out."""
+    subs = [m for m, *_ in gm._subgroup_classes(G, gm.ORDER_LIMIT)]
+    del subs[k]
+    masks = [sum(1 << i for i in m) for m in subs]
+    return outcome(reference_meet_join, masks,
+                   [f"H{i}" for i in range(len(masks))])
+
+
+def pick(name, order, normal):
+    """The index of the first subgroup of that order and normality."""
+    _, found = classes(name)
+    return next(k for k, (m, _, _, nm) in enumerate(found)
+                if len(m) == order and nm == normal)
+
+
+@pytest.mark.parametrize("name, order, normal, expected", [
+    # D4's centre is the meet of its cyclic subgroup of order 4 and either
+    # Klein four-group; without it the rest is still a lattice
+    ("D4", 2, True, ("SelfCheckFailed", "meet")),
+    # S4's normal Klein four-group is the meet of its three dihedral
+    # subgroups; without it they have three maximal common lower bounds
+    ("S4", 4, True, ("NotALattice", None)),
+    # without the trivial subgroup there is no bottom
+    ("S3", 1, True, ("Unbounded", None)),
+])
+def test_missing_intersection_raises_the_reference_error(monkeypatch, name,
+                                                         order, normal, expected):
+    G, _ = classes(name)
+    k = pick(name, order, normal)
+    reference_error = dropped_reference(G, k)
+    assert reference_error[:2] == expected
+    dropping(monkeypatch, k)
+    assert outcome(subgroup_lattice, G) == reference_error
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "S4"])
+def test_every_dropped_subgroup_fails_as_the_reference(monkeypatch, name):
+    """Leave out each subgroup in turn.  Where the reference assembly
+    fails, the lattice fails with its error; where it passes, any failure
+    comes from a later check."""
+    G, found = classes(name)
+    for k in range(len(found)):
+        expected = dropped_reference(G, k)
+        with monkeypatch.context() as m:
+            dropping(m, k)
+            got = outcome(subgroup_lattice, G)
+        if expected[0] == "value":
+            assert got[:2] in {("value", None),
+                               ("SelfCheckFailed", "join")}, (k, got)
+        else:
+            assert got == expected, k
+
+
+def test_c2_4_tests_each_pair_of_normal_subgroups_once():
+    # all 67 subgroups of C2^4 are normal; classifying each on its own made
+    # 7 060 pair tests, two for every ordered pair of incomparable ones
+    GL, calls = pair_tests(subgroup_lattice, GROUPS["C2^4"]())
+    assert len(GL.normal_names) == 67 and calls <= 3530
 
 
 def test_group_lattice_report_is_deterministic(tmp_path):

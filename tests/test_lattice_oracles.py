@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from latshell import build_poset, classify_modularity, interval, lattice_check, order_complex
 from latshell import groups as gm
 from latshell.errors import NotALattice
-from latshell.lattice import ModularChain, complement_refinements
+from latshell.lattice import ModularChain, _classify_together, complement_refinements
 from latshell.poset import bits, induced_covers
 
 from conftest import left_modular_maximal_chains
@@ -181,3 +181,16 @@ def test_complement_refinements_of_the_suite_match_oracle(suite):
         rows += [(L, c) for c in [m, *left_modular_maximal_chains(L)]]
     for L, m in rows:
         assert complement_refinements(L, m) == reference_complement_refinements(L, m)
+
+
+def test_shared_classification_matches_classify_modularity(pi4, n5, m3, gl_s4):
+    """Classifying elements together, so that each pair is tested once,
+    leaves every report as ``classify_modularity`` gives it, witnesses
+    included, in either order and on every other element alone."""
+    c2_4 = gm.subgroup_lattice(
+        gm.parse_group_file("degree: 8\n(1 2)\n(3 4)\n(5 6)\n(7 8)\n"))
+    for L in (pi4[1], n5[1], m3[1], gl_s4.lattice, c2_4.lattice):
+        expected = [classify_modularity(L, x) for x in L.elements]
+        for order in (range(L.n), range(L.n - 1, -1, -1), range(1, L.n, 2)):
+            assert (list(_classify_together(L, order))
+                    == [expected[i] for i in order])
